@@ -84,14 +84,18 @@ class CompiledSearch:
     size: int
     bound: int
 
-    def bind(self, schedules: Mapping[str, object]) -> Network:
-        """Fill every port with a schedule; arity must match exactly."""
+    def check_ports(self, schedules: Mapping[str, object]) -> None:
+        """Raise ValueError unless `schedules` names exactly the input ports."""
         unknown = set(schedules) - set(self.input_ports)
         if unknown:
             raise ValueError(f"unknown input ports: {sorted(unknown)}")
         missing = set(self.input_ports) - set(schedules)
         if missing:
             raise ValueError(f"ports left unbound: {sorted(missing)}")
+
+    def bind(self, schedules: Mapping[str, object]) -> Network:
+        """Fill every port with a schedule; arity must match exactly."""
+        self.check_ports(schedules)
         return self.network.bind_schedules(schedules)
 
 

@@ -22,12 +22,21 @@ overrides. Both produce byte-identical traces.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from . import _kernel_py
-from .model import ExplicitSchedule, Network, check_network
+from .model import (
+    ExplicitSchedule,
+    InvalidNetworkError,
+    Network,
+    SpikeSchedule,
+    _check_schedule,
+    as_schedule,
+    check_network,
+)
 
 try:  # compiled kernel is optional
     from . import _kernel_cy
@@ -160,7 +169,81 @@ def membrane_update(
     return v, False
 
 
-def build_plan(network: Network):
+def _schedule_entry(sched: SpikeSchedule) -> tuple:
+    if isinstance(sched, ExplicitSchedule):
+        return ("e", tuple(sched.times))
+    return ("p", sched.offset, sched.period)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A network compiled into the flat index-based form the kernels step.
+
+    Neurons are numbered in sorted id order (`ids`). `kernel_fields()` gives
+    the kernels their eight positional fields: neuron count, kinds (0
+    regular, 1 programmed), per-neuron threshold/reset/leak numerator and
+    denominator pairs, schedule descriptors, outgoing (post, delay, weight
+    numerator, weight denominator) lists, the accept and reject indices (-1
+    when absent) and gadget flags.
+
+    `with_schedules` swaps programmed-neuron schedules without planning
+    again, so networks that differ only in their input schedules share one
+    plan's structure. `source` is the planned network; `network` is the
+    network this plan simulates, i.e. `source` with the rebound schedules.
+    """
+
+    ids: tuple[str, ...]
+    n: int
+    kinds: tuple[int, ...]
+    params: tuple
+    scheds: tuple
+    out: tuple
+    accept_idx: int
+    reject_idx: int
+    gadget: tuple[int, ...]
+    source: Network = field(compare=False, repr=False)
+    index: Mapping[str, int] = field(compare=False, repr=False)
+    bindings: Mapping[str, SpikeSchedule] = field(default_factory=dict, compare=False, repr=False)
+
+    def kernel_fields(self) -> tuple:
+        return (
+            self.n, self.kinds, self.params, self.scheds, self.out,
+            self.accept_idx, self.reject_idx, self.gadget,
+        )
+
+    @cached_property
+    def network(self) -> Network:
+        return self.source.bind_schedules(self.bindings)
+
+    def with_schedules(self, bindings: Mapping[str, object]) -> "Plan":
+        """This plan with the schedules of the named programmed neurons replaced.
+
+        Like `Network.bind_schedules`, raises KeyError for a name that is
+        not a programmed neuron; a malformed schedule raises
+        InvalidNetworkError with the message `validate_network` gives.
+        """
+        if not bindings:
+            return self
+        scheds = list(self.scheds)
+        bound = dict(self.bindings)
+        for name, value in bindings.items():
+            k = self.index.get(name)
+            if k is None or not self.kinds[k]:
+                raise KeyError(f"no programmed neuron {name!r} to bind")
+            sched = as_schedule(value)
+            violations: list[str] = []
+            _check_schedule(name, sched, violations)
+            if violations:
+                raise InvalidNetworkError(violations)
+            scheds[k] = _schedule_entry(sched)
+            bound[name] = sched
+        return Plan(
+            self.ids, self.n, self.kinds, self.params, tuple(scheds), self.out,
+            self.accept_idx, self.reject_idx, self.gadget, self.source, self.index, bound,
+        )
+
+
+def build_plan(network: Network) -> Plan:
     """Compile a Network into the flat index-based form the kernels consume."""
     ids = sorted(set(n.id for n in network.neurons) | set(network.programmed))
     index = {name: k for k, name in enumerate(ids)}
@@ -179,48 +262,49 @@ def build_plan(network: Network):
     for name, sched in network.programmed.items():
         k = index[name]
         kinds[k] = 1
-        if isinstance(sched, ExplicitSchedule):
-            scheds[k] = ("e", tuple(sched.times))
-        else:
-            scheds[k] = ("p", sched.offset, sched.period)
+        scheds[k] = _schedule_entry(sched)
     for syn in network.synapses:
         out[index[syn.pre]].append(
             (index[syn.post], syn.delay, syn.weight.numerator, syn.weight.denominator)
         )
-    accept_idx = index[network.accept] if network.accept is not None else -1
-    reject_idx = index[network.reject] if network.reject is not None else -1
-    gadget = tuple(1 if name in network.gadget_tags else 0 for name in ids)
-    plan = (
-        n,
-        tuple(kinds),
-        tuple(params),
-        tuple(scheds),
-        tuple(tuple(entries) for entries in out),
-        accept_idx,
-        reject_idx,
-        gadget,
+    return Plan(
+        ids=tuple(ids),
+        n=n,
+        kinds=tuple(kinds),
+        params=tuple(params),
+        scheds=tuple(scheds),
+        out=tuple(tuple(entries) for entries in out),
+        accept_idx=index[network.accept] if network.accept is not None else -1,
+        reject_idx=index[network.reject] if network.reject is not None else -1,
+        gadget=tuple(1 if name in network.gadget_tags else 0 for name in ids),
+        source=network,
+        index=index,
     )
-    return ids, plan
 
 
 class Simulation:
     """Step-level driver around a kernel; exposes exact state for inspection.
 
-    Verdict-neuron designation is only required for `run` (which seeks a
-    decision); fragments and other non-deciding networks can be stepped
-    freely through this class. A simulation is strictly sequential, but
-    separate Simulation instances share no mutable state, so concurrent
-    runs over the same (immutable) network are safe.
+    Takes a Network, or a Plan of one. Verdict-neuron designation is only
+    required for `run` (which seeks a decision); fragments and other
+    non-deciding networks can be stepped freely through this class. A
+    simulation is strictly sequential, but separate Simulation instances
+    share no mutable state, so concurrent runs over the same (immutable)
+    network or plan are safe.
     """
 
-    def __init__(self, network: Network, backend: str | None = None, validate: bool = True):
+    def __init__(self, network: Network | Plan, backend: str | None = None, validate: bool = True):
         if validate:
-            check_network(network)
-        self.network = network
+            check_network(network.network if isinstance(network, Plan) else network)
+        self.plan = network if isinstance(network, Plan) else build_plan(network)
         self.backend = backend or default_backend()
-        self.ids, plan = build_plan(network)
-        self._kernel = _KERNELS[self.backend].Kernel(plan)
+        self.ids = self.plan.ids
+        self._kernel = _KERNELS[self.backend].Kernel(self.plan.kernel_fields())
         self._fired_now: tuple[str, ...] = ()
+
+    @property
+    def network(self) -> Network:
+        return self.plan.network
 
     @property
     def t(self) -> int:
@@ -244,11 +328,11 @@ class Simulation:
 
     def step(self) -> tuple[str, ...]:
         """Execute one synchronous step; return the fired ids sorted."""
-        if self.verdict is not None:
+        if self._kernel.verdict:
             raise RuntimeError("verdict already reached; the network has halted")
         fired = self._kernel.step()
         ids = self.ids
-        self._fired_now = tuple(ids[k] for k in fired)
+        self._fired_now = tuple([ids[k] for k in fired]) if fired else ()
         return self._fired_now
 
     def potentials(self) -> dict[str, Fraction]:
@@ -282,7 +366,7 @@ class RunResult(NamedTuple):
 
 
 def run(
-    network: Network,
+    network: Network | Plan,
     limits: RunLimits,
     trace: bool = False,
     backend: str | None = None,
@@ -290,15 +374,19 @@ def run(
 ) -> RunResult:
     """Simulate from t=0 until a verdict or a safety cap is hit.
 
-    The network must designate at least one of accept/reject. TIME is the
-    number of executed steps, so a verdict during step 0 reports time 1;
-    hitting max_steps (or exceeding max_total_spikes) reports "timeout".
+    Takes a Network, or a Plan of one. The network must designate at least
+    one of accept/reject. TIME is the number of executed steps, so a
+    verdict during step 0 reports time 1; hitting max_steps (or exceeding
+    max_total_spikes) reports "timeout".
     """
     if validate:
-        check_network(network)
-    if network.accept is None and network.reject is None:
+        check_network(network.network if isinstance(network, Plan) else network)
+    # Rebinding schedules leaves neurons, synapses and designations as planned.
+    shape = network.source if isinstance(network, Plan) else network
+    if shape.accept is None and shape.reject is None:
         raise NoVerdictNeuronError("network designates neither accept nor reject")
     sim = Simulation(network, backend=backend, validate=False)
+    kernel = sim._kernel
     steps: list[TraceStep] = []
     time = limits.max_steps
     verdict = TIMEOUT
@@ -306,13 +394,12 @@ def run(
     for t in range(limits.max_steps):
         fired = sim.step()
         if trace and fired:
-            steps.append(TraceStep(t, fired, sim.energy))
-        v = sim.verdict
-        if v is not None:
-            verdict = v
+            steps.append(TraceStep(t, fired, kernel.energy))
+        if kernel.verdict:
+            verdict = sim.verdict
             time = t + 1
             break
-        if cap is not None and sim.energy > cap:
+        if cap is not None and kernel.energy > cap:
             time = t + 1
             break
     report = ResourceReport(
@@ -320,8 +407,8 @@ def run(
         time=time,
         energy=sim.energy,
         energy_payload=sim.energy_payload,
-        neurons=network.size(),
-        synapses=len(network.synapses),
+        neurons=shape.size(),
+        synapses=len(shape.synapses),
     )
     return RunResult(report, Trace(tuple(steps), report) if trace else None)
 

@@ -24,7 +24,7 @@ from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import arraysearch
-from .arraysearch import ArrayInstance, contains_target, payload_energy_bound
+from .arraysearch import ArrayInstance, CompiledSearch, contains_target, payload_energy_bound
 from .engine import (
     ACCEPT,
     AMBIGUOUS,
@@ -32,6 +32,7 @@ from .engine import (
     TIMEOUT,
     ResourceReport,
     RunLimits,
+    build_plan,
     run,
 )
 from .gadgets import attach_meter, attach_timer
@@ -202,7 +203,15 @@ class CountingBuilder(NetworkBuilder):
 
 @dataclass(frozen=True)
 class CompilerEntry:
-    """A registered instance-to-network compiler with its reference oracle."""
+    """A registered instance-to-network compiler with its reference oracle.
+
+    An entry may also declare how its compiler splits in two: `split` maps
+    an instance to the arguments of `compile` and the port schedules bound
+    into the compiled structure. Instances with equal compile arguments then
+    share one structure, which `verify_equivalence` plans once. Such an
+    entry's `build` is `composed_build(split, compile)`, so it compiles and
+    binds exactly as the sweep does.
+    """
 
     name: str
     size_of: Callable[[Any], int]
@@ -212,6 +221,27 @@ class CompilerEntry:
     enumerate_domain: Callable[["Domain"], Iterator[Any]] | None = None
     sample: Callable[[Random, "Domain"], Any] | None = None
     payload_bound: Callable[[Any], int] | None = None
+    split: Callable[[Any], tuple[tuple, Mapping[str, object]]] | None = None
+    compile: Callable[..., CompiledSearch] | None = None
+
+
+def composed_build(
+    split: Callable[[Any], tuple[tuple, Mapping[str, object]]],
+    compile: Callable[..., CompiledSearch],
+) -> Callable[[Any, NetworkBuilder], Network]:
+    """The build that compiles an instance's structure and binds its ports.
+
+    A metering builder is charged one operation per bound port.
+    """
+
+    def build(instance: Any, builder: NetworkBuilder) -> Network:
+        args, schedules = split(instance)
+        compiled = compile(*args, builder)
+        if isinstance(builder, CountingBuilder):
+            builder.note_scheduled_spikes(len(schedules))
+        return compiled.bind(schedules)
+
+    return build
 
 
 _REGISTRY: dict[str, CompilerEntry] = {}
@@ -344,6 +374,11 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     compiler's brute-force reference. Alongside verdict equivalence the
     sweep enforces the per-variant payload spike ceiling and the universal
     energy <= time * neurons inequality, reporting offenders.
+
+    For an entry with a `split`, consecutive instances with equal compile
+    arguments share the previous instance's compiled structure and plan;
+    each runs as that plan with its own port schedules. Instances of an
+    entry with only `build` are each built and planned on their own.
     """
     entry = get_compiler(compiler)
     if entry.enumerate_domain is None:
@@ -359,11 +394,20 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     mismatches = []
     bound_violations = []
     inequality_violations = []
+    structure = None  # (compile arguments, compiled, plan) of the previous instance
     for instance in instances:
         checked += 1
-        network = entry.build(instance, NetworkBuilder())
+        if entry.split is None:
+            plan = build_plan(entry.build(instance, NetworkBuilder()))
+        else:
+            args, schedules = entry.split(instance)
+            if structure is None or structure[0] != args:
+                compiled = entry.compile(*args, NetworkBuilder())
+                structure = (args, compiled, build_plan(compiled.network))
+            structure[1].check_ports(schedules)
+            plan = structure[2].with_schedules(schedules)
         report = run(
-            network,
+            plan,
             RunLimits(max_steps=entry.step_limit(instance)),
             validate=False,
         ).report
@@ -396,39 +440,43 @@ def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:
 
 
 def _array_search_entry(variant: str) -> CompilerEntry:
-    def build(instance: ArrayInstance, builder: NetworkBuilder) -> Network:
-        if variant == "a":
-            return arraysearch.compile_search_embedded(instance, builder)
-        if variant == "b":
-            compiled = arraysearch.compile_search_value_input(
-                instance.elements, instance.bound, builder
-            )
+    # Compilers and encode_input are looked up on the module at call time,
+    # so wrappers installed there (profilers, tracers) see every call.
+    if variant == "a":
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
+            return (instance,), {}
+
+        def compile(instance: ArrayInstance, builder: NetworkBuilder) -> CompiledSearch:
+            network = arraysearch.compile_search_embedded(instance, builder)
+            return CompiledSearch(network, "a", (), instance.size, instance.bound)
+    elif variant == "b":
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
+            schedules = arraysearch.encode_input("b", bound=instance.bound, target=instance.target)
+            return (instance.elements, instance.bound), schedules
+
+        def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
+            return arraysearch.compile_search_value_input(elements, bound, builder)
+    else:
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             schedules = arraysearch.encode_input(
-                "b", bound=instance.bound, target=instance.target
+                "c", bound=instance.bound, target=instance.target, elements=instance.elements
             )
-        else:
-            compiled = arraysearch.compile_search_full_input(
-                instance.size, instance.bound, builder
-            )
-            schedules = arraysearch.encode_input(
-                "c",
-                bound=instance.bound,
-                target=instance.target,
-                elements=instance.elements,
-            )
-        if isinstance(builder, CountingBuilder):
-            builder.note_scheduled_spikes(len(schedules))
-        return compiled.bind(schedules)
+            return (instance.size, instance.bound), schedules
+
+        def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:
+            return arraysearch.compile_search_full_input(size, bound, builder)
 
     return CompilerEntry(
         name=f"array-search-{variant}",
         size_of=lambda instance: instance.size,
-        build=build,
+        build=composed_build(split, compile),
         reference=contains_target,
         step_limit=lambda instance: arraysearch.step_limit(variant, instance.bound),
         enumerate_domain=_enumerate_array_instances,
         sample=_sample_array_instance,
         payload_bound=lambda instance: payload_energy_bound(variant, instance.size),
+        split=split,
+        compile=compile,
     )
 
 

@@ -211,6 +211,8 @@ class Network:
 
     def bind_schedules(self, bindings: Mapping[str, object]) -> "Network":
         """Replace the schedules of existing programmed neurons."""
+        if not bindings:
+            return self
         programmed = dict(self.programmed)
         for name, sched in bindings.items():
             if name not in programmed:
@@ -303,13 +305,14 @@ class NetworkBuilder:
     def __init__(self):
         self._neurons: list[NeuronSpec] = []
         self._programmed: dict[str, SpikeSchedule] = {}
+        self._ids: set[str] = set()
         self._synapses: list[SynapseSpec] = []
         self._accept: str | None = None
         self._reject: str | None = None
         self._gadget_tags: set[str] = set()
 
     def has(self, name: str) -> bool:
-        return name in self._programmed or any(n.id == name for n in self._neurons)
+        return name in self._ids
 
     def add_neuron(
         self,
@@ -321,12 +324,14 @@ class NetworkBuilder:
         if self.has(name):
             raise ValueError(f"duplicate id {name!r}")
         self._neurons.append(NeuronSpec(name, _rat(threshold), _rat(reset), _rat(leak)))
+        self._ids.add(name)
         return name
 
     def add_input(self, name: str, schedule: object) -> str:
         if self.has(name):
             raise ValueError(f"duplicate id {name!r}")
         self._programmed[name] = as_schedule(schedule)
+        self._ids.add(name)
         return name
 
     def add_synapse(

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,11 +15,14 @@ from snnkit.harness import (
     CountingBuilder,
     Domain,
     Instrument,
+    Mismatch,
+    MismatchReport,
     ResourceBound,
     ResourceBounds,
     ResourceCaps,
     generate_and_decide,
     get_compiler,
+    composed_build,
     network_halting_oracle,
     register_compiler,
     registered_compilers,
@@ -258,6 +263,29 @@ class TestOracle:
                 assert loose.outcome == tight.outcome
 
 
+def _per_instance_report(compiler, domain, seed):
+    """verify_equivalence as a plain loop: build, plan and run every instance."""
+    entry = get_compiler(compiler)
+    instances = list(entry.enumerate_domain(domain))
+    rng = Random(seed)
+    instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+    mismatches, bound_violations, inequality_violations = [], [], []
+    for instance in instances:
+        network = entry.build(instance, NetworkBuilder())
+        report = run(network, RunLimits(max_steps=entry.step_limit(instance)), validate=False).report
+        expected = entry.reference(instance)
+        if report.verdict != ("accept" if expected else "reject"):
+            mismatches.append(Mismatch(instance, report.verdict, expected))
+        if entry.payload_bound is not None:
+            if report.energy_payload > entry.payload_bound(instance):
+                bound_violations.append(instance)
+        if report.energy > report.time * report.neurons:
+            inequality_violations.append(instance)
+    return MismatchReport(
+        len(instances), tuple(mismatches), tuple(bound_violations), tuple(inequality_violations)
+    )
+
+
 class TestVerifyEquivalence:
     def test_variant_a_exhaustive_small(self):
         report = verify_equivalence("array-search-a", Domain(max_len=3, max_val=4))
@@ -322,6 +350,40 @@ class TestVerifyEquivalence:
             len(set(m.instance.elements)) < len(m.instance.elements)
             for m in report.mismatches
         )
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_swept_report_equals_per_instance_loop(self, variant):
+        domain = Domain(max_len=3, max_val=4, random_instances=25, random_max_len=6, random_max_val=9)
+        name = f"array-search-{variant}"
+        assert verify_equivalence(name, domain, seed=2) == _per_instance_report(name, domain, seed=2)
+
+    def test_corrupted_split_compiler_is_caught_through_reuse(self):
+        # The same mutation in a compiler whose structures the sweep reuses:
+        # the swept report must still equal one built instance by instance.
+        entry = get_compiler("array-search-c")
+
+        def corrupted_compile(size, bound, builder):
+            compiled = entry.compile(size, bound, builder)
+            neurons = tuple(
+                spec if spec.id != "acc" else type(spec)(spec.id, 1, spec.reset, spec.leak)
+                for spec in compiled.network.neurons
+            )
+            return replace(compiled, network=replace(compiled.network, neurons=neurons))
+
+        register_compiler(
+            replace(
+                entry,
+                name="array-search-c-corrupted",
+                build=composed_build(entry.split, corrupted_compile),
+                compile=corrupted_compile,
+            )
+        )
+        domain = Domain(max_len=3, max_val=4, random_instances=25, random_max_len=6, random_max_val=9)
+        report = verify_equivalence("array-search-c-corrupted", domain)
+        assert len(report.mismatches) > 0
+        # Element spikes alone now reach the threshold: only false accepts.
+        assert all(m.network_verdict == "accept" and not m.reference for m in report.mismatches)
+        assert report == _per_instance_report("array-search-c-corrupted", domain, seed=0)
 
     def test_registry_lists_array_search(self):
         names = registered_compilers()

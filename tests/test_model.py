@@ -143,6 +143,11 @@ def test_builder_duplicate_rejected():
         builder.add_neuron("n")
     with pytest.raises(ValueError, match="duplicate"):
         builder.add_input("n", [0])
+    builder.add_input("m", [0])
+    with pytest.raises(ValueError, match="duplicate"):
+        builder.add_neuron("m")
+    with pytest.raises(ValueError, match="duplicate"):
+        builder.add_input("m", [1])
 
 
 def test_builder_builds_valid_network():

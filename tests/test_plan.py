@@ -1,0 +1,226 @@
+"""Plans and schedule rebinding: `Plan.with_schedules` against fresh plans.
+
+A rebound plan must be the plan of the rebound network, and running it must
+give the same reports and traces as running that network, both for the
+array-search compilers and for generated networks checked step by step
+against the brute-force reference simulator.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from snnkit.arraysearch import VALUE_PORT, VARIANTS
+from snnkit.engine import RunLimits, Simulation, build_plan, run
+from snnkit.harness import Domain, get_compiler
+from snnkit.model import (
+    ExplicitSchedule,
+    InvalidNetworkError,
+    Network,
+    NetworkBuilder,
+    NeuronSpec,
+    PeriodicSchedule,
+    SynapseSpec,
+    one_shot,
+    validate_network,
+)
+
+from reference_engine import simulate_reference
+
+SWEEP_DOMAIN = Domain(max_len=3, max_val=4, random_instances=25, random_max_len=6, random_max_val=9)
+
+
+def _instances(entry, domain, seed):
+    instances = list(entry.enumerate_domain(domain))
+    rng = Random(seed)
+    return instances + [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rebound_plan_equals_plan_of_rebound_network(variant):
+    entry = get_compiler(f"array-search-{variant}")
+    for instance in _instances(entry, SWEEP_DOMAIN, seed=5):
+        args, schedules = entry.split(instance)
+        network = entry.compile(*args, NetworkBuilder()).network
+        # Variant a has no ports; moving its value spike still rebinds a schedule.
+        moved = {**schedules, VALUE_PORT: one_shot((instance.target + 1) % instance.bound)}
+        for bindings in (schedules, moved):
+            bound = network.bind_schedules(bindings)
+            plan = build_plan(network).with_schedules(bindings)
+            assert plan == build_plan(bound), instance
+            assert plan.network == bound, instance
+        built = entry.build(instance, NetworkBuilder())
+        assert build_plan(network).with_schedules(schedules) == build_plan(built), instance
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rebound_plan_runs_like_the_built_network(variant):
+    entry = get_compiler(f"array-search-{variant}")
+    domain = Domain(max_len=2, max_val=4, random_instances=10, random_max_len=5, random_max_val=7)
+    for instance in _instances(entry, domain, seed=11):
+        args, schedules = entry.split(instance)
+        plan = build_plan(entry.compile(*args, NetworkBuilder()).network)
+        limits = RunLimits(entry.step_limit(instance))
+        swept = run(plan.with_schedules(schedules), limits, trace=True, validate=False)
+        built = run(entry.build(instance, NetworkBuilder()), limits, trace=True)
+        assert swept.report == built.report, instance
+        assert swept.trace.render() == built.trace.render(), instance
+
+
+def _two_port_network():
+    builder = NetworkBuilder()
+    builder.add_input("p", [0])
+    builder.add_input("q", PeriodicSchedule(1, 2))
+    builder.add_neuron("acc", threshold=2)
+    builder.add_synapse("p", "acc")
+    builder.add_synapse("q", "acc")
+    builder.set_accept("acc")
+    return builder.build()
+
+
+class TestWithSchedules:
+    def test_unknown_name_rejected_like_bind_schedules(self):
+        net = _two_port_network()
+        with pytest.raises(KeyError) as planned:
+            build_plan(net).with_schedules({"zz": [1]})
+        with pytest.raises(KeyError) as bound:
+            net.bind_schedules({"zz": [1]})
+        assert str(planned.value) == str(bound.value)
+
+    def test_regular_neuron_rejected_like_bind_schedules(self):
+        net = _two_port_network()
+        with pytest.raises(KeyError) as planned:
+            build_plan(net).with_schedules({"acc": [1]})
+        with pytest.raises(KeyError) as bound:
+            net.bind_schedules({"acc": [1]})
+        assert str(planned.value) == str(bound.value)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [[3, 1], [2, 2], [-1, 4], ExplicitSchedule((-2,)), PeriodicSchedule(0, 0), PeriodicSchedule(-1, 2)],
+    )
+    def test_malformed_schedule_rejected_with_validation_messages(self, schedule):
+        net = _two_port_network()
+        with pytest.raises(InvalidNetworkError) as planned:
+            build_plan(net).with_schedules({"p": schedule})
+        assert planned.value.violations == validate_network(net.bind_schedules({"p": schedule}))
+
+    def test_rejected_binding_leaves_the_plan_unchanged(self):
+        net = _two_port_network()
+        plan = build_plan(net)
+        with pytest.raises(InvalidNetworkError):
+            plan.with_schedules({"q": [0, 5], "p": [4, 2]})
+        assert plan == build_plan(net)
+        assert plan.network is net
+
+    def test_empty_bindings_keep_the_plan(self):
+        plan = build_plan(_two_port_network())
+        assert plan.with_schedules({}) is plan
+
+    def test_rebinding_composes(self):
+        net = _two_port_network()
+        plan = build_plan(net).with_schedules({"p": [1]}).with_schedules({"q": [0, 3]})
+        bound = net.bind_schedules({"p": [1], "q": [0, 3]})
+        assert plan == build_plan(bound)
+        assert plan.network == bound
+
+    def test_simulation_of_a_plan_exposes_the_bound_network(self):
+        net = _two_port_network()
+        plan = build_plan(net).with_schedules({"p": [2]})
+        sim = Simulation(plan)
+        assert sim.network == net.bind_schedules({"p": [2]})
+        assert sim.ids == plan.ids
+        assert [sim.step() for _ in range(4)] == [(), ("q",), ("p",), ("acc", "q")]
+
+    def test_run_validates_a_plan_by_its_network(self):
+        bad = Network(
+            neurons=(NeuronSpec("acc", threshold=Fraction(-1)),),
+            programmed={"p": one_shot(0)},
+            accept="acc",
+        )
+        with pytest.raises(InvalidNetworkError, match="threshold must be >= 0"):
+            run(build_plan(bad), RunLimits(3))
+        assert run(build_plan(bad), RunLimits(3), validate=False).report.time == 3
+
+
+# -- differential test against the reference simulator --------------------
+
+_LEAKS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+_RATIONALS = st.builds(Fraction, st.integers(0, 12), st.integers(1, 4))
+_WEIGHTS = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+
+
+def _schedules():
+    explicit = st.sets(st.integers(0, 20), max_size=5).map(lambda ts: ExplicitSchedule(tuple(sorted(ts))))
+    periodic = st.builds(PeriodicSchedule, st.integers(0, 6), st.integers(1, 5))
+    return st.one_of(explicit, periodic)
+
+
+@st.composite
+def _rebinding_cases(draw):
+    """A network, new schedules for some of its programmed neurons, and a step cap.
+
+    Thresholds may be zero and resets may reach the threshold; synapses may
+    target programmed neurons and span long delays; accept and reject may be
+    programmed neurons firing together (an ambiguous verdict).
+    """
+    regular = [f"r{i}" for i in range(draw(st.integers(1, 5)))]
+    programmed = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    names = regular + programmed
+    neurons = []
+    for name in regular:
+        threshold = draw(st.one_of(st.just(Fraction(0)), _RATIONALS))
+        reset = draw(st.one_of(st.just(threshold), _RATIONALS))
+        leak = draw(st.one_of(st.sampled_from(_LEAKS), st.builds(Fraction, st.integers(0, 5), st.just(5))))
+        neurons.append(NeuronSpec(name, threshold, reset, leak))
+    synapses = draw(
+        st.lists(
+            st.builds(
+                SynapseSpec,
+                st.sampled_from(names),
+                st.sampled_from(names),
+                st.one_of(st.integers(1, 3), st.integers(4, 30)),
+                _WEIGHTS,
+            ),
+            max_size=14,
+        )
+    )
+    accept = draw(st.sampled_from(names + [None]))
+    reject = draw(st.sampled_from([name for name in names if name != accept] + [None]))
+    if accept is None and reject is None:
+        accept = regular[0]
+    network = Network(
+        neurons=tuple(neurons),
+        programmed={name: draw(_schedules()) for name in programmed},
+        synapses=tuple(synapses),
+        accept=accept,
+        reject=reject,
+        gadget_tags=frozenset(draw(st.sets(st.sampled_from(names), max_size=2))),
+    )
+    rebound = draw(st.lists(st.sampled_from(programmed), unique=True))
+    bindings = {name: draw(_schedules()) for name in rebound}
+    return network, bindings, draw(st.integers(1, 45))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rebinding_cases())
+def test_rebound_plan_matches_reference_step_by_step(case):
+    network, bindings, max_steps = case
+    bound = network.bind_schedules(bindings)
+    result = run(build_plan(network).with_schedules(bindings), RunLimits(max_steps), trace=True)
+    ref = simulate_reference(bound, max_steps)
+    assert [(step.t, step.fired) for step in result.trace.steps] == ref.fired_log
+    energy = 0
+    for step, (_, fired) in zip(result.trace.steps, ref.fired_log):
+        energy += len(fired)
+        assert step.energy == energy
+    report = result.report
+    event(f"verdict {report.verdict}")
+    assert (report.verdict, report.time, report.energy, report.energy_payload) == (
+        ref.verdict, ref.time, ref.energy, ref.payload_energy
+    )
+    assert (report.neurons, report.synapses) == (bound.size(), len(bound.synapses))
+    assert result == run(bound, RunLimits(max_steps), trace=True)

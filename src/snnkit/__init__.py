@@ -9,7 +9,6 @@ compilers for array search, and a resource-bounded oracle/host harness.
 from .arraysearch import (
     ArrayInstance,
     CompiledSearch,
-    compile_instance,
     compile_search_embedded,
     compile_search_full_input,
     compile_search_value_input,

@@ -106,10 +106,11 @@ def _detector_weight(n: int) -> Fraction:
 def _wire_common(builder: NetworkBuilder, n: int) -> None:
     # Detector fires only on value+element coincidence; duplicates alone
     # sum to at most n * (1/n) = 1 < threshold.
-    builder.add_neuron(DETECTOR, threshold=1 + _detector_weight(n), reset=0, leak=0)
+    weight = _detector_weight(n)
+    builder.add_neuron(DETECTOR, threshold=1 + weight, reset=0, leak=0)
     builder.add_neuron(REJECTOR)
     for j in range(n):
-        builder.add_synapse(element_port(j), DETECTOR, weight=_detector_weight(n))
+        builder.add_synapse(element_port(j), DETECTOR, weight=weight)
     if n >= 1:
         builder.add_synapse(VALUE_PORT, DETECTOR)
     builder.set_accept(DETECTOR)
@@ -219,23 +220,6 @@ def encode_input(
         schedules[VALUE_PORT] = one_shot(target)
         return schedules
     raise ValueError(f"no input encoding for variant {variant!r}")
-
-
-def compile_instance(variant: str, instance: ArrayInstance) -> Network:
-    """Compile and (for b/c) bind a full instance in one step."""
-    if variant == "a":
-        return compile_search_embedded(instance)
-    if variant == "b":
-        compiled = compile_search_value_input(instance.elements, instance.bound)
-        return compiled.bind(encode_input("b", bound=instance.bound, target=instance.target))
-    if variant == "c":
-        compiled = compile_search_full_input(instance.size, instance.bound)
-        return compiled.bind(
-            encode_input(
-                "c", bound=instance.bound, target=instance.target, elements=instance.elements
-            )
-        )
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def payload_energy_bound(variant: str, size: int) -> int:

@@ -16,14 +16,7 @@ import sys
 from pathlib import Path
 
 from . import engine, gadgets, harness, hostprog, snnfmt
-from .arraysearch import (
-    ArrayInstance,
-    compile_instance,
-    compile_search_full_input,
-    compile_search_value_input,
-    encode_input,
-)
-from .model import InvalidNetworkError
+from .model import InvalidNetworkError, NetworkBuilder
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -98,36 +91,19 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    if args.problem != "array-search":
-        raise SystemExit(f"unknown compiler {args.problem!r}")
-    variant = args.variant
+    compiler = harness.flag_compiler(args.problem, args.variant)
     elements = tuple(int(v) for v in args.array.split(",")) if args.array else ()
-    if variant == "a":
-        if args.target is None:
-            raise SystemExit("variant a needs --target")
-        network = compile_instance("a", ArrayInstance(elements, args.target, args.bound))
-    elif variant == "b":
-        compiled = compile_search_value_input(elements, args.bound)
-        network = compiled.network
-        if args.target is not None:
-            _emit_sidecar(args, encode_input("b", bound=args.bound, target=args.target))
-    else:
-        size = args.size if args.size is not None else len(elements)
-        compiled = compile_search_full_input(size, args.bound)
-        network = compiled.network
-        if args.target is not None:
-            _emit_sidecar(
-                args,
-                encode_input("c", bound=args.bound, target=args.target, elements=elements),
-            )
-    _write_network(network, args.output)
+    compile_args, schedules = compiler.from_flags(
+        array=elements, size=args.size, target=args.target, bound=args.bound
+    )
+    compiled = compiler.compile(*compile_args, NetworkBuilder())
+    if schedules:
+        if not args.inputs_out:
+            raise SystemExit("emitting input schedules needs --inputs-out <file>")
+        compiled.check_ports(schedules)
+        Path(args.inputs_out).write_text(snnfmt.serialize_port_bindings(schedules))
+    _write_network(compiled.network, args.output)
     return EXIT_ACCEPT
-
-
-def _emit_sidecar(args, schedules) -> None:
-    if not args.inputs_out:
-        raise SystemExit("emitting input schedules needs --inputs-out <file>")
-    Path(args.inputs_out).write_text(snnfmt.serialize_port_bindings(schedules))
 
 
 def _cmd_oracle(args) -> int:
@@ -155,14 +131,13 @@ def _cmd_host(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.problem != "array-search":
-        raise SystemExit(f"unknown compiler {args.problem!r}")
+    compiler = harness.flag_compiler(args.problem, args.variant)
     domain = harness.Domain(
         max_len=args.max_len,
         max_val=args.max_val,
         random_instances=args.random,
     )
-    report = harness.verify_equivalence(f"array-search-{args.variant}", domain, seed=args.seed)
+    report = harness.verify_equivalence(compiler.name, domain, seed=args.seed)
     print(f"checked={report.checked}")
     print(f"mismatches={len(report.mismatches)}")
     print(f"bound_violations={len(report.bound_violations)}")
@@ -182,6 +157,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    problems = harness.flag_compilers()
+    variants = sorted({variant for names in problems.values() for variant in names})
     parser = argparse.ArgumentParser(prog="snnkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -206,14 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gadget)
 
     p = sub.add_parser("compile", help="compile a problem instance into a network")
-    p.add_argument("problem", choices=("array-search",))
-    p.add_argument("--variant", choices=("a", "b", "c"), required=True)
+    p.add_argument("problem", choices=sorted(problems))
+    p.add_argument("--variant", choices=variants, required=True)
     p.add_argument("--array", default="", help="comma-separated elements")
     p.add_argument("--size", type=int, help="array length (variant c)")
     p.add_argument("--target", type=int, help="value to search for")
     p.add_argument("--bound", type=int, required=True, help="exclusive value bound V")
     p.add_argument("--output", default="-", help="where to write the .snn (default stdout)")
-    p.add_argument("--inputs-out", help="write port schedules here (variants b/c)")
+    p.add_argument("--inputs-out", help="write port schedules here (given a --target)")
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("oracle", help="promise-bounded accept/reject query")
@@ -229,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_host)
 
     p = sub.add_parser("verify", help="sweep a compiler against brute force")
-    p.add_argument("problem", choices=("array-search",))
-    p.add_argument("--variant", choices=("a", "b", "c"), required=True)
+    p.add_argument("problem", choices=sorted(problems))
+    p.add_argument("--variant", choices=variants, required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--max-val", type=int, required=True)
     p.add_argument("--random", type=int, default=0, help="extra seeded random instances")
@@ -267,3 +244,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -211,6 +211,14 @@ class CompilerEntry:
     share one structure, which `verify_equivalence` plans once. Such an
     entry's `build` is `composed_build(split, compile)`, so it compiles and
     binds exactly as the sweep does.
+
+    An entry named `<problem>-<variant>` that declares `from_flags` is
+    offered by the command line's `compile` and `verify` and by the host
+    `compile` statement as `<problem> --variant <variant>`. `from_flags`
+    takes the flag values `array` (a tuple, empty when not given), `size`,
+    `target` and `bound` (None when not given) and returns the compile
+    arguments and the port schedules, or None for the schedules when no
+    target is given. It raises ValueError on flags that name no instance.
     """
 
     name: str
@@ -223,6 +231,7 @@ class CompilerEntry:
     payload_bound: Callable[[Any], int] | None = None
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]] | None = None
     compile: Callable[..., CompiledSearch] | None = None
+    from_flags: Callable[..., tuple[tuple, Mapping[str, object] | None]] | None = None
 
 
 def composed_build(
@@ -260,6 +269,26 @@ def get_compiler(name: str) -> CompilerEntry:
 
 def registered_compilers() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def flag_compilers() -> dict[str, tuple[str, ...]]:
+    """Each problem offered by flags, mapped to its variants, both sorted."""
+    problems: dict[str, tuple[str, ...]] = {}
+    for name in registered_compilers():
+        if _REGISTRY[name].from_flags is not None:
+            problem, _, variant = name.rpartition("-")
+            problems[problem] = problems.get(problem, ()) + (variant,)
+    return problems
+
+
+def flag_compiler(problem: str, variant: str | None) -> CompilerEntry:
+    """The entry that `<problem> --variant <variant>` names on the command line."""
+    variants = flag_compilers().get(problem)
+    if variants is None:
+        raise ValueError(f"unknown compiler {problem!r}")
+    if variant not in variants:
+        raise ValueError(f"{problem} needs --variant {'|'.join(variants)}")
+    return _REGISTRY[f"{problem}-{variant}"]
 
 
 def generate_and_decide(
@@ -449,6 +478,9 @@ def _array_search_entry(variant: str) -> CompilerEntry:
         def compile(instance: ArrayInstance, builder: NetworkBuilder) -> CompiledSearch:
             network = arraysearch.compile_search_embedded(instance, builder)
             return CompiledSearch(network, "a", (), instance.size, instance.bound)
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            raise ValueError("variant a needs --target")
     elif variant == "b":
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             schedules = arraysearch.encode_input("b", bound=instance.bound, target=instance.target)
@@ -456,6 +488,9 @@ def _array_search_entry(variant: str) -> CompilerEntry:
 
         def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
             return arraysearch.compile_search_value_input(elements, bound, builder)
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            return (array, bound)
     else:
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             schedules = arraysearch.encode_input(
@@ -465,6 +500,20 @@ def _array_search_entry(variant: str) -> CompilerEntry:
 
         def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:
             return arraysearch.compile_search_full_input(size, bound, builder)
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            return (len(array) if size is None else size, bound)
+
+    def from_flags(
+        array: tuple[int, ...], size: int | None, target: int | None, bound: int
+    ) -> tuple[tuple, Mapping[str, object] | None]:
+        # --size only stands in for --array when neither elements nor a
+        # target are given; otherwise the two must agree.
+        if size is not None and (array or target is not None) and size != len(array):
+            raise ValueError("--size disagrees with --array")
+        if target is None:
+            return unbound(array, size, bound), None
+        return split(ArrayInstance(array, target, bound))
 
     return CompilerEntry(
         name=f"array-search-{variant}",
@@ -477,6 +526,7 @@ def _array_search_entry(variant: str) -> CompilerEntry:
         payload_bound=lambda instance: payload_energy_bound(variant, instance.size),
         split=split,
         compile=compile,
+        from_flags=from_flags,
     )
 
 

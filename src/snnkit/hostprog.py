@@ -25,24 +25,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .arraysearch import (
-    ArrayInstance,
-    compile_instance,
-    compile_search_full_input,
-    compile_search_value_input,
-)
 from .harness import (
     ACCEPTED,
     PROMISE_VIOLATED,
     REJECTED,
     OracleAnswer,
     ResourceCaps,
+    flag_compiler,
     network_halting_oracle,
 )
-from .model import Network
+from .model import Network, NetworkBuilder
 from .snnfmt import parse_port_bindings
 
 _OUTCOME_TOKENS = {"accepted": ACCEPTED, "rejected": REJECTED, "violated": PROMISE_VIOLATED}
+_COMPILE_FLAGS = ("variant", "array", "size", "target", "bound")
 
 
 class HostProgramError(ValueError):
@@ -111,6 +107,8 @@ def _parse_flags(tokens, lineno):
         token = tokens[i]
         if not token.startswith("--"):
             raise HostProgramError(f"line {lineno}: expected a --flag, got {token!r}")
+        if token[2:] not in _COMPILE_FLAGS:
+            raise HostProgramError(f"line {lineno}: unknown flag {token!r}")
         if i + 1 >= len(tokens):
             raise HostProgramError(f"line {lineno}: flag {token!r} needs a value")
         flags[token[2:]] = tokens[i + 1]
@@ -127,39 +125,22 @@ def _parse_csv(text):
 def build_compiled_network(compiler: str, args: tuple[str, ...], lineno: int = 0) -> Network:
     """Build a network from CLI-style compile arguments.
 
-    Variant a requires a target; variants b/c without a target yield a
-    network with unbound ports, to be filled via the oracle's inputs file.
+    Without a --target the network's input ports are left unbound, to be
+    filled via the oracle's inputs file.
     """
-    if compiler != "array-search":
-        raise HostProgramError(f"line {lineno}: unknown compiler {compiler!r}")
     flags = _parse_flags(args, lineno)
     try:
-        variant = flags.get("variant", "")
-        bound = int(flags["bound"]) if "bound" in flags else None
-        if bound is None:
-            raise HostProgramError(f"line {lineno}: compile needs --bound")
-        if variant == "a":
-            instance = ArrayInstance(
-                _parse_csv(flags.get("array", "")), int(flags["target"]), bound
-            )
-            return compile_instance("a", instance)
-        if variant == "b":
-            elements = _parse_csv(flags.get("array", ""))
-            if "target" in flags:
-                instance = ArrayInstance(elements, int(flags["target"]), bound)
-                return compile_instance("b", instance)
-            return compile_search_value_input(elements, bound).network
-        if variant == "c":
-            size = int(flags["size"]) if "size" in flags else len(_parse_csv(flags.get("array", "")))
-            if "target" in flags:
-                instance = ArrayInstance(_parse_csv(flags.get("array", "")), int(flags["target"]), bound)
-                if instance.size != size and "size" in flags:
-                    raise HostProgramError(f"line {lineno}: --size disagrees with --array")
-                return compile_instance("c", instance)
-            return compile_search_full_input(size, bound).network
-        raise HostProgramError(f"line {lineno}: compile needs --variant a|b|c")
-    except KeyError as exc:
-        raise HostProgramError(f"line {lineno}: compile is missing flag {exc.args[0]!r}") from None
+        entry = flag_compiler(compiler, flags.get("variant"))
+        if "bound" not in flags:
+            raise ValueError("compile needs --bound")
+        compile_args, schedules = entry.from_flags(
+            array=_parse_csv(flags.get("array", "")),
+            size=int(flags["size"]) if "size" in flags else None,
+            target=int(flags["target"]) if "target" in flags else None,
+            bound=int(flags["bound"]),
+        )
+        compiled = entry.compile(*compile_args, NetworkBuilder())
+        return compiled.network if schedules is None else compiled.bind(schedules)
     except ValueError as exc:
         raise HostProgramError(f"line {lineno}: {exc}") from None
 

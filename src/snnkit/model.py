@@ -323,7 +323,7 @@ class NetworkBuilder:
     ) -> str:
         if self.has(name):
             raise ValueError(f"duplicate id {name!r}")
-        self._neurons.append(NeuronSpec(name, _rat(threshold), _rat(reset), _rat(leak)))
+        self._neurons.append(NeuronSpec(name, threshold, reset, leak))
         self._ids.add(name)
         return name
 
@@ -341,7 +341,7 @@ class NetworkBuilder:
         delay: int = DEFAULT_DELAY,
         weight: object = DEFAULT_WEIGHT,
     ) -> None:
-        self._synapses.append(SynapseSpec(pre, post, delay, _rat(weight)))
+        self._synapses.append(SynapseSpec(pre, post, delay, weight))
 
     def set_accept(self, name: str) -> None:
         self._accept = name

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from snnkit.arraysearch import ArrayInstance, compile_instance
+from snnkit.arraysearch import ArrayInstance
 from snnkit.engine import RunLimits, Simulation, available_backends, run
 from snnkit.gadgets import attach_meter, attach_timer, make_clock, make_number
 from snnkit.harness import (
@@ -18,10 +18,12 @@ from snnkit.harness import (
     PROMISE_VIOLATED,
     Domain,
     ResourceCaps,
+    get_compiler,
     network_halting_oracle,
     verify_equivalence,
 )
 from snnkit.hostprog import host_run
+from snnkit.model import NetworkBuilder
 from snnkit.randnet import random_network, sparse_benchmark_network
 from snnkit.snnfmt import parse_network, serialize_network
 
@@ -189,7 +191,7 @@ def test_oracle_and_host():
         # Measure a run exactly, then confirm the oracle accepts at the
         # measured caps and flags a violation when any single cap drops by 1.
         instance = ArrayInstance((2,), 2, 4)
-        network = compile_instance("a", instance)
+        network = get_compiler("array-search-a").build(instance, NetworkBuilder())
         measured = run(network, RunLimits(32)).report
         assert measured.verdict == "accept"
         exact = ResourceCaps(

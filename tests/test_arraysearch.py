@@ -5,7 +5,6 @@ import pytest
 
 from snnkit.arraysearch import (
     ArrayInstance,
-    compile_instance,
     compile_search_full_input,
     compile_search_value_input,
     contains_target,
@@ -16,11 +15,12 @@ from snnkit.arraysearch import (
     step_limit,
 )
 from snnkit.engine import RunLimits, run
-from snnkit.model import one_shot
+from snnkit.harness import get_compiler
+from snnkit.model import NetworkBuilder, one_shot
 
 
 def _decide(variant, instance, trace=False):
-    network = compile_instance(variant, instance)
+    network = get_compiler(f"array-search-{variant}").build(instance, NetworkBuilder())
     return run(network, RunLimits(step_limit(variant, instance.bound)), trace=trace)
 
 

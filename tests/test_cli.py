@@ -264,3 +264,41 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestModuleEntry:
+    def test_python_m_runs_main(self, tmp_path, capsys):
+        # `python -m snnkit.cli` is how the CLI runs without an installed
+        # package; the child imports the snnkit under test.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import snnkit
+
+        package_root = str(Path(snnkit.__file__).resolve().parent.parent)
+        child_path = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )
+
+        def child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "snnkit.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": child_path},
+                cwd=tmp_path,
+            )
+
+        argv = ["compile", "array-search", "--variant", "a", "--array", "3,5,7",
+                "--target", "5", "--bound", "8"]
+        proc = child(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(argv, capsys)[1]
+        assert "acc" in parse_network(proc.stdout).ids()
+
+        proc = child("compile", "array-search", "--variant", "c", "--size", "2",
+                     "--target", "2", "--bound", "4")
+        assert proc.returncode == 2
+        assert "--size disagrees with --array" in proc.stderr

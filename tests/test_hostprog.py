@@ -164,3 +164,10 @@ class TestBuildCompiledNetwork:
     def test_unknown_compiler(self):
         with pytest.raises(HostProgramError, match="unknown compiler"):
             build_compiled_network("sort", ())
+
+    def test_unknown_flag(self):
+        with pytest.raises(HostProgramError, match="unknown flag '--bogus'"):
+            build_compiled_network(
+                "array-search",
+                ("--variant", "b", "--array", "1", "--bound", "4", "--bogus", "1"),
+            )

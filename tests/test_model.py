@@ -163,6 +163,23 @@ def test_builder_builds_valid_network():
     assert net.size() == 2
 
 
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda b: b.add_neuron("n", threshold=0.5),
+        lambda b: b.add_neuron("n", reset=0.0),
+        lambda b: b.add_neuron("n", leak=1.0),
+        lambda b: b.add_synapse("n", "n", weight=0.5),
+    ],
+)
+def test_builder_rejects_float_parameters(add):
+    builder = NetworkBuilder()
+    with pytest.raises(TypeError, match="exact rational"):
+        add(builder)
+    assert not builder.has("n")
+    assert builder.build(validate=False) == Network()
+
+
 def test_bind_schedules():
     builder = NetworkBuilder()
     builder.add_neuron("out")

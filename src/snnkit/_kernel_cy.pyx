@@ -1,9 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled simulation kernel.
 
-Same event-driven algorithm as snnkit._kernel_py, with C-typed indices and
-counters. Membrane values stay arbitrary-precision integer pairs (Python
-ints), so results are exact and byte-identical to the pure kernel.
+Same event-driven integer algorithm as snnkit._kernel_py, with C-typed
+indices and counters. Potentials stay arbitrary-precision Python ints: a
+numerator N over an unreduced leak denominator Q = q**e, in units of 1/L_k
+of the neuron's plan scale, with no gcd in `step`. Results are exact and
+byte-identical to the pure kernel.
 """
 
 from heapq import heappop, heappush
@@ -25,7 +27,8 @@ cdef class Kernel:
     cdef int reject_idx
     cdef bytes kinds
     cdef bytes gadget
-    cdef list tn, td, rn, rd, mn, md
+    cdef list tn, rn, mn, md
+    cdef tuple scale
     cdef list un, ud
     cdef list last
     cdef list scheds
@@ -37,20 +40,18 @@ cdef class Kernel:
 
     def __init__(self, plan):
         cdef Py_ssize_t k
-        (n, kinds, params, scheds, out, accept_idx, reject_idx, gadget) = plan
+        (n, kinds, params, scale, scheds, out, accept_idx, reject_idx, gadget) = plan
         self.n = n
         self.kinds = bytes(kinds)
         self.gadget = bytes(gadget)
         self.tn = [0] * n
-        self.td = [1] * n
         self.rn = [0] * n
-        self.rd = [1] * n
         self.mn = [1] * n
         self.md = [1] * n
         for k in range(n):
             if params[k] is not None:
-                (self.tn[k], self.td[k], self.rn[k], self.rd[k],
-                 self.mn[k], self.md[k]) = params[k]
+                self.tn[k], self.rn[k], self.mn[k], self.md[k] = params[k]
+        self.scale = tuple(scale)
         self.scheds = list(scheds)
         self.out = [list(entries) for entries in out]
         self.accept_idx = accept_idx
@@ -140,34 +141,18 @@ cdef class Kernel:
                         nu = 0
                         du = 1
                     elif mn != self.md[k]:
-                        nu = nu * mn ** dt
+                        if mn != 1:
+                            nu = nu * mn ** dt
                         du = du * self.md[k] ** dt
-                        g = gcd(nu, du)
-                        if g > 1:
-                            nu //= g
-                            du //= g
             if inputs is not None and kobj in inputs:
-                sn, sd = inputs[kobj]
-                if du == 1 and sd == 1:  # integer fast path
-                    nu = nu + sn
-                else:
-                    nu = nu * sd + sn * du
-                    if nu:
-                        du = du * sd
-                        g = gcd(nu, du)
-                        if g > 1:
-                            nu //= g
-                            du //= g
-                    else:
-                        du = 1
-            if nu < 0:
-                nu = 0
-                du = 1
-            td = self.td[k]
-            if (nu >= self.tn[k] if du == 1 and td == 1 else nu * td >= self.tn[k] * du):
+                nu = nu + inputs[kobj] * du
+                if nu <= 0:
+                    nu = 0
+                    du = 1
+            if nu >= self.tn[k] * du:
                 fired.append(kobj)
                 nu = self.rn[k]
-                du = self.rd[k]
+                du = 1
                 self.carry.add(kobj)
             un[k] = nu
             ud[k] = du
@@ -184,28 +169,13 @@ cdef class Kernel:
                     acc = True
                 elif k == self.reject_idx:
                     rej = True
-                for post, delay, wn, wd in self.out[k]:
+                for post, delay, w in self.out[k]:
                     arrival = t + delay
                     slot = bucket.get(arrival)
                     if slot is None:
-                        bucket[arrival] = {post: (wn, wd)}
-                    elif post in slot:
-                        an, ad = slot[post]
-                        if ad == 1 and wd == 1:  # integer fast path
-                            slot[post] = (an + wn, 1)
-                        else:
-                            sn = an * wd + wn * ad
-                            if sn:
-                                sd = ad * wd
-                                g = gcd(sn, sd)
-                                if g > 1:
-                                    sn //= g
-                                    sd //= g
-                                slot[post] = (sn, sd)
-                            else:
-                                slot[post] = (0, 1)
+                        bucket[arrival] = {post: w}
                     else:
-                        slot[post] = (wn, wd)
+                        slot[post] = slot.get(post, 0) + w
             if acc:
                 self.verdict = VERDICT_AMBIGUOUS if rej else VERDICT_ACCEPT
             elif rej:
@@ -213,7 +183,11 @@ cdef class Kernel:
         return fired
 
     def potential_pairs(self):
-        """Materialize end-of-last-step potentials for regular neurons."""
+        """Materialize end-of-last-step potentials for regular neurons.
+
+        Each is a reduced (numerator, denominator) pair in the network's
+        own units.
+        """
         cdef Py_ssize_t k
         tm = self.t - 1
         pairs = []
@@ -222,27 +196,20 @@ cdef class Kernel:
                 pairs.append(None)
                 continue
             nu = self.un[k]
-            du = self.ud[k]
+            du = self.ud[k] * self.scale[k]
             dt = tm - self.last[k]
             if nu and dt > 0:
-                mn = self.mn[k]
-                md = self.md[k]
-                if mn == 0:
-                    nu, du = 0, 1
-                elif mn != md:
-                    nu = nu * mn ** dt
-                    du = du * md ** dt
-                    g = gcd(nu, du)
-                    if g > 1:
-                        nu //= g
-                        du //= g
-            pairs.append((nu, du))
+                nu = nu * self.mn[k] ** dt
+                du = du * self.md[k] ** dt
+            g = gcd(nu, du)
+            pairs.append((nu // g, du // g))
         return pairs
 
     def pending_pairs(self):
-        """Snapshot of undelivered inputs: {(arrival, idx): (num, den)}."""
+        """Snapshot of undelivered inputs: {(arrival, idx): (num, den)}, reduced."""
         snapshot = {}
         for arrival, slot in self.bucket.items():
-            for k, pair in slot.items():
-                snapshot[(arrival, k)] = pair
+            for k, w in slot.items():
+                g = gcd(w, self.scale[k])
+                snapshot[(arrival, k)] = (w // g, self.scale[k] // g)
         return snapshot

@@ -1,8 +1,16 @@
 """Pure-Python simulation kernel.
 
 Fallback implementation used when the compiled extension is unavailable.
-Both kernels execute the identical algorithm over exact integer-pair
-rationals, so traces are byte-for-byte interchangeable between backends.
+Both kernels execute the identical integer algorithm, so traces are
+byte-for-byte interchangeable between backends.
+
+Every value is a plain int. The plan scales neuron k's threshold, reset and
+incoming weights by its L_k (see snnkit.engine), and the kernel keeps its
+potential as N/Q in units of 1/L_k. Q is 1 unless the neuron leaks by p/q
+with q > 1, when it is q**e for the e steps of decay since the potential
+was last reset, clamped or zero; it is never reduced, so no step computes a
+gcd. Only `potential_pairs` and `pending_pairs`, which serve inspection,
+divide by L_k (and Q) and reduce.
 
 The step loop is event-driven: a regular neuron is only examined when it can
 possibly change state or fire, i.e. when a delivery arrives, on the step
@@ -24,26 +32,24 @@ class Kernel:
     """Synchronous stepper over a compiled network plan."""
 
     __slots__ = (
-        "n", "kinds", "tn", "td", "rn", "rd", "mn", "md", "scheds", "out",
+        "n", "kinds", "tn", "rn", "mn", "md", "scale", "scheds", "out",
         "accept_idx", "reject_idx", "gadget", "t", "un", "ud", "last",
         "carry", "bucket", "heap", "expl_pos", "energy", "payload_energy",
         "verdict",
     )
 
     def __init__(self, plan):
-        (n, kinds, params, scheds, out, accept_idx, reject_idx, gadget) = plan
+        (n, kinds, params, scale, scheds, out, accept_idx, reject_idx, gadget) = plan
         self.n = n
         self.kinds = kinds
         self.tn = [0] * n
-        self.td = [1] * n
         self.rn = [0] * n
-        self.rd = [1] * n
         self.mn = [1] * n
         self.md = [1] * n
         for k in range(n):
             if params[k] is not None:
-                (self.tn[k], self.td[k], self.rn[k], self.rd[k],
-                 self.mn[k], self.md[k]) = params[k]
+                self.tn[k], self.rn[k], self.mn[k], self.md[k] = params[k]
+        self.scale = scale
         self.scheds = scheds
         self.out = out
         self.accept_idx = accept_idx
@@ -126,34 +132,18 @@ class Kernel:
                         nu = 0
                         du = 1
                     elif mn != self.md[k]:
-                        nu *= mn ** dt
+                        if mn != 1:
+                            nu *= mn ** dt
                         du *= self.md[k] ** dt
-                        g = gcd(nu, du)
-                        if g > 1:
-                            nu //= g
-                            du //= g
             if inputs is not None and k in inputs:
-                sn, sd = inputs[k]
-                if du == 1 and sd == 1:  # integer fast path
-                    nu = nu + sn
-                else:
-                    nu = nu * sd + sn * du
-                    if nu:
-                        du *= sd
-                        g = gcd(nu, du)
-                        if g > 1:
-                            nu //= g
-                            du //= g
-                    else:
-                        du = 1
-            if nu < 0:
-                nu = 0
-                du = 1
-            td = self.td[k]
-            if (nu >= self.tn[k] if du == 1 and td == 1 else nu * td >= self.tn[k] * du):
+                nu += inputs[k] * du
+                if nu <= 0:
+                    nu = 0
+                    du = 1
+            if nu >= self.tn[k] * du:
                 fired.append(k)
                 nu = self.rn[k]
-                du = self.rd[k]
+                du = 1
                 self.carry.add(k)
             un[k] = nu
             ud[k] = du
@@ -173,27 +163,12 @@ class Kernel:
                     acc = True
                 elif k == self.reject_idx:
                     rej = True
-                for post, delay, wn, wd in self.out[k]:
+                for post, delay, w in self.out[k]:
                     slot = bucket.get(t + delay)
                     if slot is None:
-                        bucket[t + delay] = {post: (wn, wd)}
-                    elif post in slot:
-                        an, ad = slot[post]
-                        if ad == 1 and wd == 1:  # integer fast path
-                            slot[post] = (an + wn, 1)
-                        else:
-                            sn = an * wd + wn * ad
-                            if sn:
-                                sd = ad * wd
-                                g = gcd(sn, sd)
-                                if g > 1:
-                                    sn //= g
-                                    sd //= g
-                                slot[post] = (sn, sd)
-                            else:
-                                slot[post] = (0, 1)
+                        bucket[t + delay] = {post: w}
                     else:
-                        slot[post] = (wn, wd)
+                        slot[post] = slot.get(post, 0) + w
             self.energy = energy
             self.payload_energy = payload
             if acc:
@@ -203,7 +178,11 @@ class Kernel:
         return fired
 
     def potential_pairs(self):
-        """Materialize end-of-last-step potentials for regular neurons."""
+        """Materialize end-of-last-step potentials for regular neurons.
+
+        Each is a reduced (numerator, denominator) pair in the network's
+        own units.
+        """
         tm = self.t - 1
         pairs = []
         for k in range(self.n):
@@ -211,27 +190,20 @@ class Kernel:
                 pairs.append(None)
                 continue
             nu = self.un[k]
-            du = self.ud[k]
+            du = self.ud[k] * self.scale[k]
             dt = tm - self.last[k]
             if nu and dt > 0:
-                mn = self.mn[k]
-                md = self.md[k]
-                if mn == 0:
-                    nu, du = 0, 1
-                elif mn != md:
-                    nu *= mn ** dt
-                    du *= md ** dt
-                    g = gcd(nu, du)
-                    if g > 1:
-                        nu //= g
-                        du //= g
-            pairs.append((nu, du))
+                nu *= self.mn[k] ** dt
+                du *= self.md[k] ** dt
+            g = gcd(nu, du)
+            pairs.append((nu // g, du // g))
         return pairs
 
     def pending_pairs(self):
-        """Snapshot of undelivered inputs: {(arrival, idx): (num, den)}."""
+        """Snapshot of undelivered inputs: {(arrival, idx): (num, den)}, reduced."""
         snapshot = {}
         for arrival, slot in self.bucket.items():
-            for k, pair in slot.items():
-                snapshot[(arrival, k)] = pair
+            for k, w in slot.items():
+                g = gcd(w, self.scale[k])
+                snapshot[(arrival, k)] = (w // g, self.scale[k] // g)
         return snapshot

@@ -13,10 +13,20 @@ TIME is the number of executed steps, SPACE the neuron count, ENERGY the
 spike count; ENERGY <= TIME * SPACE always holds since a neuron fires at
 most once per step.
 
+Planning makes every value the kernels touch a plain integer. Each neuron k
+gets a scale L_k, the lcm of the denominators of its threshold, its reset
+and every weight into it; the plan stores threshold, reset and incoming
+weights multiplied by L_k. Since max(0, .) and >= commute with positive
+scaling, this is exact. A kernel keeps a potential as N/Q in units of 1/L_k,
+where Q = q**e accumulates a leak p/q without ever being reduced, so no step
+computes a gcd; only `Simulation.potentials` and `Simulation.pending` divide
+by L_k (and Q) and reduce.
+
 Two interchangeable kernels execute the inner loop: a compiled extension
 (snnkit._kernel_cy, built from Cython) and a pure-Python fallback. The
 compiled one is preferred when importable; SNNKIT_BACKEND=pure|compiled
-overrides. Both produce byte-identical traces.
+overrides. Both run the same integer algorithm and produce byte-identical
+traces.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, NamedTuple
 
 from . import _kernel_py
@@ -179,12 +190,15 @@ def _schedule_entry(sched: SpikeSchedule) -> tuple:
 class Plan:
     """A network compiled into the flat index-based form the kernels step.
 
-    Neurons are numbered in sorted id order (`ids`). `kernel_fields()` gives
-    the kernels their eight positional fields: neuron count, kinds (0
-    regular, 1 programmed), per-neuron threshold/reset/leak numerator and
-    denominator pairs, schedule descriptors, outgoing (post, delay, weight
-    numerator, weight denominator) lists, the accept and reject indices (-1
-    when absent) and gadget flags.
+    Neurons are numbered in sorted id order (`ids`). `scale[k]` is neuron
+    k's L_k: the lcm of the denominators of its threshold, its reset and
+    every weight into it (programmed neurons included, since deliveries to
+    them are pending state too). `kernel_fields()` gives the kernels their
+    nine positional fields: neuron count, kinds (0 regular, 1 programmed),
+    per-neuron (threshold*L, reset*L, leak numerator, leak denominator)
+    integer tuples (None for programmed neurons), the scales, schedule
+    descriptors, outgoing (post, delay, weight*L_post) integer lists, the
+    accept and reject indices (-1 when absent) and gadget flags.
 
     `with_schedules` swaps programmed-neuron schedules without planning
     again, so networks that differ only in their input schedules share one
@@ -196,6 +210,7 @@ class Plan:
     n: int
     kinds: tuple[int, ...]
     params: tuple
+    scale: tuple[int, ...]
     scheds: tuple
     out: tuple
     accept_idx: int
@@ -207,7 +222,7 @@ class Plan:
 
     def kernel_fields(self) -> tuple:
         return (
-            self.n, self.kinds, self.params, self.scheds, self.out,
+            self.n, self.kinds, self.params, self.scale, self.scheds, self.out,
             self.accept_idx, self.reject_idx, self.gadget,
         )
 
@@ -238,40 +253,48 @@ class Plan:
             scheds[k] = _schedule_entry(sched)
             bound[name] = sched
         return Plan(
-            self.ids, self.n, self.kinds, self.params, tuple(scheds), self.out,
+            self.ids, self.n, self.kinds, self.params, self.scale, tuple(scheds), self.out,
             self.accept_idx, self.reject_idx, self.gadget, self.source, self.index, bound,
         )
 
 
 def build_plan(network: Network) -> Plan:
-    """Compile a Network into the flat index-based form the kernels consume."""
+    """Compile a Network into the flat, integer-scaled form the kernels consume."""
     ids = sorted(set(n.id for n in network.neurons) | set(network.programmed))
     index = {name: k for k, name in enumerate(ids)}
     n = len(ids)
     kinds = [0] * n
     params: list[tuple | None] = [None] * n
+    scale = [1] * n
     scheds: list[tuple | None] = [None] * n
     out: list[list[tuple]] = [[] for _ in range(n)]
+    for syn in network.synapses:
+        den = syn.weight.denominator
+        if den != 1:
+            post = index[syn.post]
+            scale[post] = lcm(scale[post], den)
     for spec in network.neurons:
         k = index[spec.id]
-        params[k] = (
-            spec.threshold.numerator, spec.threshold.denominator,
-            spec.reset.numerator, spec.reset.denominator,
-            spec.leak.numerator, spec.leak.denominator,
-        )
+        tn, td = spec.threshold.as_integer_ratio()
+        rn, rd = spec.reset.as_integer_ratio()
+        L = scale[k]
+        if L % td or L % rd:
+            L = scale[k] = lcm(L, td, rd)
+        params[k] = (tn * (L // td), rn * (L // rd), *spec.leak.as_integer_ratio())
     for name, sched in network.programmed.items():
         k = index[name]
         kinds[k] = 1
         scheds[k] = _schedule_entry(sched)
     for syn in network.synapses:
-        out[index[syn.pre]].append(
-            (index[syn.post], syn.delay, syn.weight.numerator, syn.weight.denominator)
-        )
+        post = index[syn.post]
+        num, den = syn.weight.as_integer_ratio()
+        out[index[syn.pre]].append((post, syn.delay, num * (scale[post] // den)))
     return Plan(
         ids=tuple(ids),
         n=n,
         kinds=tuple(kinds),
         params=tuple(params),
+        scale=tuple(scale),
         scheds=tuple(scheds),
         out=tuple(tuple(entries) for entries in out),
         accept_idx=index[network.accept] if network.accept is not None else -1,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from random import Random
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
 from . import arraysearch
 from .arraysearch import ArrayInstance, CompiledSearch, contains_target, payload_energy_bound
@@ -201,6 +201,23 @@ class CountingBuilder(NetworkBuilder):
         )
 
 
+class CompiledStructure(Protocol):
+    """What a compiler's `compile` returns: a network with open input ports.
+
+    The harness, the command line and the host language use only these:
+    `network` is the structure with its ports unscheduled, `check_ports`
+    raises ValueError unless the schedules name exactly its ports, and
+    `bind` checks them and returns the network with them scheduled.
+    """
+
+    @property
+    def network(self) -> Network: ...
+
+    def check_ports(self, schedules: Mapping[str, object]) -> None: ...
+
+    def bind(self, schedules: Mapping[str, object]) -> Network: ...
+
+
 @dataclass(frozen=True)
 class CompilerEntry:
     """A registered instance-to-network compiler with its reference oracle.
@@ -230,13 +247,13 @@ class CompilerEntry:
     sample: Callable[[Random, "Domain"], Any] | None = None
     payload_bound: Callable[[Any], int] | None = None
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]] | None = None
-    compile: Callable[..., CompiledSearch] | None = None
+    compile: Callable[..., CompiledStructure] | None = None
     from_flags: Callable[..., tuple[tuple, Mapping[str, object] | None]] | None = None
 
 
 def composed_build(
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]],
-    compile: Callable[..., CompiledSearch],
+    compile: Callable[..., CompiledStructure],
 ) -> Callable[[Any, NetworkBuilder], Network]:
     """The build that compiles an instance's structure and binds its ports.
 
@@ -372,13 +389,27 @@ def network_halting_oracle(
 
 @dataclass(frozen=True)
 class Domain:
-    """Instance domain for equivalence sweeps."""
+    """Instance domain for equivalence sweeps.
+
+    Arrays have length 0..max_len and values 0..max_val-1; random samples
+    draw from lengths 0..random_max_len and values 0..random_max_val-1.
+    Bounds that leave a range empty, or a negative sample count, raise
+    ValueError, so a sweep can never pass by checking nothing.
+    """
 
     max_len: int
     max_val: int
     random_instances: int = 0
     random_max_len: int = 16
     random_max_val: int = 64
+
+    def __post_init__(self):
+        if self.max_len < 0 or self.random_max_len < 0:
+            raise ValueError("array lengths must be >= 0")
+        if self.max_val < 1 or self.random_max_val < 1:
+            raise ValueError("value bounds must be >= 1")
+        if self.random_instances < 0:
+            raise ValueError("random instance count must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Deliberately naive and structurally unlike the package engine: it iterates
 over every neuron on every step, keeps potentials as Fractions, and stores
 each delivery individually. Agreement between this and the event-driven
-kernels is the main correctness check for the engine.
+kernels is the main correctness check for the engine. Besides the firings it
+logs the exact state after every step, so the kernels' integer-scaled
+potentials and pending deliveries can be checked once converted back.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ class ReferenceRun:
     energy: int
     payload_energy: int
     fired_log: list  # list of (t, tuple of fired ids)
+    state_log: list  # per executed step: ({id: potential}, {(arrival, post): summed weight})
 
 
 def simulate_reference(network: Network, max_steps: int) -> ReferenceRun:
@@ -29,6 +32,7 @@ def simulate_reference(network: Network, max_steps: int) -> ReferenceRun:
     energy = 0
     payload = 0
     fired_log = []
+    state_log = []
     verdict = "timeout"
     time = max_steps
     zero = Fraction(0)
@@ -65,10 +69,14 @@ def simulate_reference(network: Network, max_steps: int) -> ReferenceRun:
                     pending.append((t + syn.delay, syn.post, syn.weight))
         if fired:
             fired_log.append((t, tuple(fired)))
+        summed = {}
+        for arrival, post, weight in pending:
+            summed[(arrival, post)] = summed.get((arrival, post), zero) + weight
+        state_log.append((dict(potentials), summed))
         acc = network.accept is not None and network.accept in fired
         rej = network.reject is not None and network.reject in fired
         if acc or rej:
             verdict = "ambiguous" if (acc and rej) else ("accept" if acc else "reject")
             time = t + 1
             break
-    return ReferenceRun(verdict, time, energy, payload, fired_log)
+    return ReferenceRun(verdict, time, energy, payload, fired_log, state_log)

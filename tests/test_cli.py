@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from snnkit.cli import main
 from snnkit.snnfmt import parse_network
 
@@ -253,6 +255,19 @@ class TestVerify:
         code1, out1, _ = run_cli(argv, capsys)
         code2, out2, _ = run_cli(argv, capsys)
         assert (code1, out1) == (code2, out2)
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            (("--max-len", "1", "--max-val", "0"), "value bounds must be >= 1"),
+            (("--max-len", "-1", "--max-val", "3"), "array lengths must be >= 0"),
+        ],
+    )
+    def test_empty_domain_is_a_usage_error(self, bounds, message, capsys):
+        code, out, err = run_cli(["verify", "array-search", "--variant", "a", *bounds], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestUsage:

@@ -314,6 +314,20 @@ class TestVerifyEquivalence:
         assert report.bound_violations == ()
         assert report.inequality_violations == ()
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"max_len": -1, "max_val": 3},
+            {"max_len": 1, "max_val": 0},
+            {"max_len": 1, "max_val": 2, "random_instances": -1},
+            {"max_len": 1, "max_val": 2, "random_max_len": -1},
+            {"max_len": 1, "max_val": 2, "random_max_val": 0},
+        ],
+    )
+    def test_empty_or_malformed_domain_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            Domain(**bounds)
+
     def test_corrupted_compiler_is_caught(self):
         # Lowering the detector threshold to 1 lets duplicate elements alone
         # cross it: a mutation the sweep must flag.

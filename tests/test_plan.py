@@ -224,3 +224,19 @@ def test_rebound_plan_matches_reference_step_by_step(case):
     )
     assert (report.neurons, report.synapses) == (bound.size(), len(bound.synapses))
     assert result == run(bound, RunLimits(max_steps), trace=True)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rebinding_cases())
+def test_exact_state_matches_reference_step_by_step(case):
+    # The kernels keep integer-scaled potentials over unreduced leak
+    # denominators; converted back they must be the reference's Fractions.
+    network, bindings, max_steps = case
+    bound = network.bind_schedules(bindings)
+    sim = Simulation(build_plan(network).with_schedules(bindings))
+    ref = simulate_reference(bound, max_steps)
+    for potentials, pending in ref.state_log:
+        sim.step()
+        assert sim.potentials() == potentials, sim.t
+        assert sim.pending() == pending, sim.t
+    assert sim.t == ref.time

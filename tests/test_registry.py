@@ -8,17 +8,18 @@ entry's own `build` must agree on every network.
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnkit import harness
-from snnkit.arraysearch import ArrayInstance, CompiledSearch
+from snnkit.arraysearch import ArrayInstance
 from snnkit.cli import main
 from snnkit.harness import CompilerEntry, composed_build, get_compiler, register_compiler
 from snnkit.hostprog import HostProgramError, build_compiled_network, host_run
-from snnkit.model import ExplicitSchedule, NetworkBuilder, one_shot
+from snnkit.model import ExplicitSchedule, Network, NetworkBuilder, one_shot
 from snnkit.snnfmt import parse_network, parse_port_bindings
 
 
@@ -97,6 +98,21 @@ def test_front_ends_reject_alike(flags, message, tmp_path, capsys):
     assert not sidecar.exists()
 
 
+@dataclass(frozen=True)
+class _OnePort:
+    """The least a compiled structure offers: its network, a port check and a bind."""
+
+    network: Network
+
+    def check_ports(self, schedules):
+        if set(schedules) != {"p"}:
+            raise ValueError(f"the toy binds port p alone, not {sorted(schedules)}")
+
+    def bind(self, schedules):
+        self.check_ports(schedules)
+        return self.network.bind_schedules(schedules)
+
+
 def _toy_entry(calls):
     """A one-port compiler: the port fires at the target and excites accept."""
 
@@ -109,7 +125,7 @@ def _toy_entry(calls):
         builder.add_neuron("acc")
         builder.add_synapse("p", "acc")
         builder.set_accept("acc")
-        return CompiledSearch(builder.build(), "x", ("p",), 0, bound)
+        return _OnePort(builder.build())
 
     def from_flags(array, size, target, bound):
         if target is None:

@@ -1,8 +1,11 @@
-"""Build script: compiles the optional Cython simulation kernel.
+"""Build script: optionally compiles the simulation kernel with Cython.
 
-The package works without the extension (a pure-Python kernel is selected at
-import time), so a missing Cython or a failed compile must not break the
-install. Set SNNKIT_PURE=1 to skip the extension build entirely.
+src/snnkit/_kernel.py is the kernel's only source and runs as plain Python.
+Where Cython is installed, it is also compiled in Cython's pure-Python mode,
+with the C types declared in the augmenting src/snnkit/_kernel.pxd, into
+the extension module snnkit._kernel, which shadows the .py on import. A
+missing Cython or a failed compile must not break the install. Set
+SNNKIT_PURE=1 to skip the extension build entirely.
 """
 
 import os
@@ -17,14 +20,18 @@ if os.environ.get("SNNKIT_PURE") != "1":
         pass
     else:
         extension = Extension(
-            "snnkit._kernel_cy",
-            ["src/snnkit/_kernel_cy.pyx"],
+            "snnkit._kernel",
+            ["src/snnkit/_kernel.py"],
             extra_compile_args=["-O2"],
         )
         extension.optional = True
         ext_modules = cythonize(
             [extension],
-            compiler_directives={"language_level": "3"},
+            compiler_directives={
+                "language_level": "3",
+                "boundscheck": False,
+                "wraparound": False,
+            },
         )
 
 setup(ext_modules=ext_modules)

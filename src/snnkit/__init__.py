@@ -28,7 +28,6 @@ from .engine import (
     Simulation,
     Trace,
     available_backends,
-    default_backend,
     membrane_update,
     render_raster,
     run,

@@ -1,0 +1,34 @@
+# C types for _kernel.py when Cython compiles it in pure-Python mode (see
+# setup.py). This file only declares; the algorithm lives in _kernel.py.
+
+cimport cython
+
+
+cdef class Kernel:
+    cdef public long long t
+    cdef public long long energy
+    cdef public long long payload_energy
+    cdef public int verdict
+    cdef Py_ssize_t n
+    cdef int accept_idx
+    cdef int reject_idx
+    cdef tuple kinds
+    cdef tuple gadget
+    cdef tuple tn, rn, mn, md
+    cdef tuple scale
+    cdef list un, ud
+    cdef list last
+    cdef tuple scheds
+    cdef tuple out
+    cdef list expl_pos
+    cdef set carry
+    cdef dict bucket
+    cdef list heap
+
+    cdef object _first_fire(self, Py_ssize_t k)
+
+    @cython.locals(pos=cython.Py_ssize_t)
+    cdef object _next_fire(self, Py_ssize_t k, object after)
+
+    @cython.locals(k=cython.Py_ssize_t, acc=cython.bint, rej=cython.bint)
+    cpdef step(self)

@@ -1,8 +1,9 @@
-"""Pure-Python simulation kernel.
+"""The simulation kernel: the one executable definition of the synchronous step.
 
-Fallback implementation used when the compiled extension is unavailable.
-Both kernels execute the identical integer algorithm, so traces are
-byte-for-byte interchangeable between backends.
+This file is plain Python and runs as is. Where Cython is installed,
+setup.py also compiles it, with the C types declared in `_kernel.pxd`, into
+the extension module snnkit._kernel, which then shadows this file on
+import. Both builds run this same source, so their traces are identical.
 
 Every value is a plain int. The plan scales neuron k's threshold, reset and
 incoming weights by its L_k (see snnkit.engine), and the kernel keeps its
@@ -31,30 +32,22 @@ VERDICT_AMBIGUOUS = 3
 class Kernel:
     """Synchronous stepper over a compiled network plan."""
 
-    __slots__ = (
-        "n", "kinds", "tn", "rn", "mn", "md", "scale", "scheds", "out",
-        "accept_idx", "reject_idx", "gadget", "t", "un", "ud", "last",
-        "carry", "bucket", "heap", "expl_pos", "energy", "payload_energy",
-        "verdict",
-    )
-
     def __init__(self, plan):
-        (n, kinds, params, scale, scheds, out, accept_idx, reject_idx, gadget) = plan
+        """Start at t=0 from an `engine.Plan`."""
+        n = plan.n
+        kinds = plan.kinds
         self.n = n
         self.kinds = kinds
-        self.tn = [0] * n
-        self.rn = [0] * n
-        self.mn = [1] * n
-        self.md = [1] * n
-        for k in range(n):
-            if params[k] is not None:
-                self.tn[k], self.rn[k], self.mn[k], self.md[k] = params[k]
-        self.scale = scale
-        self.scheds = scheds
-        self.out = out
-        self.accept_idx = accept_idx
-        self.reject_idx = reject_idx
-        self.gadget = gadget
+        self.tn = plan.thresholds
+        self.rn = plan.resets
+        self.mn = plan.leak_nums
+        self.md = plan.leak_dens
+        self.scale = plan.scale
+        self.scheds = plan.scheds
+        self.out = plan.out
+        self.accept_idx = plan.accept_idx
+        self.reject_idx = plan.reject_idx
+        self.gadget = plan.gadget
         self.t = 0
         self.un = [0] * n
         self.ud = [1] * n

@@ -56,7 +56,7 @@ def _cmd_sim(args) -> int:
         network = network.bind_schedules(snnfmt.parse_port_bindings(_read_text(args.inputs)))
     limits = engine.RunLimits(max_steps=args.max_steps, max_total_spikes=args.max_spikes)
     want_trace = args.trace or args.raster
-    report, trace = engine.run(network, limits, trace=want_trace, backend=args.backend)
+    report, trace = engine.run(network, limits, trace=want_trace)
     if args.trace:
         for step in trace.steps:
             print(step.render())
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-spikes", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="print per-step firings")
     p.add_argument("--raster", action="store_true", help="print a spike raster")
-    p.add_argument("--backend", choices=engine.available_backends(), default=None)
     p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("gadget", help="emit a circuit fragment or augment a network")

@@ -13,32 +13,32 @@ TIME is the number of executed steps, SPACE the neuron count, ENERGY the
 spike count; ENERGY <= TIME * SPACE always holds since a neuron fires at
 most once per step.
 
-Planning makes every value the kernels touch a plain integer. Each neuron k
+Planning makes every value the kernel touches a plain integer. Each neuron k
 gets a scale L_k, the lcm of the denominators of its threshold, its reset
 and every weight into it; the plan stores threshold, reset and incoming
 weights multiplied by L_k. Since max(0, .) and >= commute with positive
-scaling, this is exact. A kernel keeps a potential as N/Q in units of 1/L_k,
-where Q = q**e accumulates a leak p/q without ever being reduced, so no step
-computes a gcd; only `Simulation.potentials` and `Simulation.pending` divide
-by L_k (and Q) and reduce.
+scaling, this is exact. The kernel keeps a potential as N/Q in units of
+1/L_k, where Q = q**e accumulates a leak p/q without ever being reduced, so
+no step computes a gcd; only `Simulation.potentials` and `Simulation.pending`
+divide by L_k (and Q) and reduce.
 
-Two interchangeable kernels execute the inner loop: a compiled extension
-(snnkit._kernel_cy, built from Cython) and a pure-Python fallback. The
-compiled one is preferred when importable; SNNKIT_BACKEND=pure|compiled
-overrides. Both run the same integer algorithm and produce byte-identical
-traces.
+One kernel source, snnkit/_kernel.py, executes the inner loop. Where
+Cython is installed, setup.py compiles that same file into an extension
+module, which is then imported in its place; `available_backends` names
+the build that was imported.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from importlib.machinery import ExtensionFileLoader
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from . import _kernel_py
+from . import _kernel
+from ._kernel import Kernel
 from .model import (
     ExplicitSchedule,
     InvalidNetworkError,
@@ -49,11 +49,6 @@ from .model import (
     check_network,
 )
 
-try:  # compiled kernel is optional
-    from . import _kernel_cy
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel_cy = None
-
 ACCEPT = "accept"
 REJECT = "reject"
 TIMEOUT = "timeout"
@@ -61,22 +56,11 @@ AMBIGUOUS = "ambiguous"
 
 _VERDICT_NAMES = {1: ACCEPT, 2: REJECT, 3: AMBIGUOUS}
 
-_KERNELS = {"pure": _kernel_py}
-if _kernel_cy is not None:
-    _KERNELS["compiled"] = _kernel_cy
-
 
 def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_KERNELS))
-
-
-def default_backend() -> str:
-    env = os.environ.get("SNNKIT_BACKEND")
-    if env:
-        if env not in _KERNELS:
-            raise ValueError(f"SNNKIT_BACKEND={env!r} is not available (have {available_backends()})")
-        return env
-    return "compiled" if "compiled" in _KERNELS else "pure"
+    """The kernel build in use: ("compiled",) for the extension, else ("pure",)."""
+    compiled = isinstance(_kernel.__spec__.loader, ExtensionFileLoader)
+    return ("compiled",) if compiled else ("pure",)
 
 
 class NoVerdictNeuronError(ValueError):
@@ -188,17 +172,20 @@ def _schedule_entry(sched: SpikeSchedule) -> tuple:
 
 @dataclass(frozen=True)
 class Plan:
-    """A network compiled into the flat index-based form the kernels step.
+    """A network compiled into the flat index-based form the kernel steps.
 
-    Neurons are numbered in sorted id order (`ids`). `scale[k]` is neuron
-    k's L_k: the lcm of the denominators of its threshold, its reset and
-    every weight into it (programmed neurons included, since deliveries to
-    them are pending state too). `kernel_fields()` gives the kernels their
-    nine positional fields: neuron count, kinds (0 regular, 1 programmed),
-    per-neuron (threshold*L, reset*L, leak numerator, leak denominator)
-    integer tuples (None for programmed neurons), the scales, schedule
-    descriptors, outgoing (post, delay, weight*L_post) integer lists, the
-    accept and reject indices (-1 when absent) and gadget flags.
+    Neurons are numbered in sorted id order (`ids`), and every per-neuron
+    field is a tuple indexed that way. `kinds` holds 0 for a regular and 1
+    for a programmed neuron. `scale[k]` is neuron k's L_k: the lcm of the
+    denominators of its threshold, its reset and every weight into it
+    (programmed neurons included, since deliveries to them are pending state
+    too). `thresholds` and `resets` hold threshold*L and reset*L, and
+    `leak_nums`/`leak_dens` the leak's numerator and denominator, all ints;
+    a programmed neuron has 0, 0, 1, 1. `scheds` holds schedule descriptors
+    (None for regular neurons), `out` each neuron's outgoing
+    (post, delay, weight*L_post) integer triples, `accept_idx`/`reject_idx`
+    the verdict neurons (-1 when absent) and `gadget` 1 for gadget neurons.
+    The kernel reads these fields by name.
 
     `with_schedules` swaps programmed-neuron schedules without planning
     again, so networks that differ only in their input schedules share one
@@ -209,7 +196,10 @@ class Plan:
     ids: tuple[str, ...]
     n: int
     kinds: tuple[int, ...]
-    params: tuple
+    thresholds: tuple[int, ...]
+    resets: tuple[int, ...]
+    leak_nums: tuple[int, ...]
+    leak_dens: tuple[int, ...]
     scale: tuple[int, ...]
     scheds: tuple
     out: tuple
@@ -219,12 +209,6 @@ class Plan:
     source: Network = field(compare=False, repr=False)
     index: Mapping[str, int] = field(compare=False, repr=False)
     bindings: Mapping[str, SpikeSchedule] = field(default_factory=dict, compare=False, repr=False)
-
-    def kernel_fields(self) -> tuple:
-        return (
-            self.n, self.kinds, self.params, self.scale, self.scheds, self.out,
-            self.accept_idx, self.reject_idx, self.gadget,
-        )
 
     @cached_property
     def network(self) -> Network:
@@ -252,19 +236,19 @@ class Plan:
                 raise InvalidNetworkError(violations)
             scheds[k] = _schedule_entry(sched)
             bound[name] = sched
-        return Plan(
-            self.ids, self.n, self.kinds, self.params, self.scale, tuple(scheds), self.out,
-            self.accept_idx, self.reject_idx, self.gadget, self.source, self.index, bound,
-        )
+        return replace(self, scheds=tuple(scheds), bindings=bound)
 
 
 def build_plan(network: Network) -> Plan:
-    """Compile a Network into the flat, integer-scaled form the kernels consume."""
+    """Compile a Network into the flat, integer-scaled form the kernel consumes."""
     ids = sorted(set(n.id for n in network.neurons) | set(network.programmed))
     index = {name: k for k, name in enumerate(ids)}
     n = len(ids)
     kinds = [0] * n
-    params: list[tuple | None] = [None] * n
+    thresholds = [0] * n
+    resets = [0] * n
+    leak_nums = [1] * n
+    leak_dens = [1] * n
     scale = [1] * n
     scheds: list[tuple | None] = [None] * n
     out: list[list[tuple]] = [[] for _ in range(n)]
@@ -280,7 +264,9 @@ def build_plan(network: Network) -> Plan:
         L = scale[k]
         if L % td or L % rd:
             L = scale[k] = lcm(L, td, rd)
-        params[k] = (tn * (L // td), rn * (L // rd), *spec.leak.as_integer_ratio())
+        thresholds[k] = tn * (L // td)
+        resets[k] = rn * (L // rd)
+        leak_nums[k], leak_dens[k] = spec.leak.as_integer_ratio()
     for name, sched in network.programmed.items():
         k = index[name]
         kinds[k] = 1
@@ -293,7 +279,10 @@ def build_plan(network: Network) -> Plan:
         ids=tuple(ids),
         n=n,
         kinds=tuple(kinds),
-        params=tuple(params),
+        thresholds=tuple(thresholds),
+        resets=tuple(resets),
+        leak_nums=tuple(leak_nums),
+        leak_dens=tuple(leak_dens),
         scale=tuple(scale),
         scheds=tuple(scheds),
         out=tuple(tuple(entries) for entries in out),
@@ -306,7 +295,7 @@ def build_plan(network: Network) -> Plan:
 
 
 class Simulation:
-    """Step-level driver around a kernel; exposes exact state for inspection.
+    """Step-level driver around the kernel; exposes exact state for inspection.
 
     Takes a Network, or a Plan of one. Verdict-neuron designation is only
     required for `run` (which seeks a decision); fragments and other
@@ -316,13 +305,12 @@ class Simulation:
     network or plan are safe.
     """
 
-    def __init__(self, network: Network | Plan, backend: str | None = None, validate: bool = True):
+    def __init__(self, network: Network | Plan, validate: bool = True):
         if validate:
             check_network(network.network if isinstance(network, Plan) else network)
         self.plan = network if isinstance(network, Plan) else build_plan(network)
-        self.backend = backend or default_backend()
         self.ids = self.plan.ids
-        self._kernel = _KERNELS[self.backend].Kernel(self.plan.kernel_fields())
+        self._kernel = Kernel(self.plan)
         self._fired_now: tuple[str, ...] = ()
 
     @property
@@ -392,7 +380,6 @@ def run(
     network: Network | Plan,
     limits: RunLimits,
     trace: bool = False,
-    backend: str | None = None,
     validate: bool = True,
 ) -> RunResult:
     """Simulate from t=0 until a verdict or a safety cap is hit.
@@ -408,7 +395,7 @@ def run(
     shape = network.source if isinstance(network, Plan) else network
     if shape.accept is None and shape.reject is None:
         raise NoVerdictNeuronError("network designates neither accept nor reject")
-    sim = Simulation(network, backend=backend, validate=False)
+    sim = Simulation(network, validate=False)
     kernel = sim._kernel
     steps: list[TraceStep] = []
     time = limits.max_steps

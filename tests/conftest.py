@@ -5,8 +5,8 @@ from snnkit.model import NetworkBuilder
 
 
 @pytest.fixture(params=available_backends())
-def backend(request):
-    """Run engine-level tests against every available kernel."""
+def kernel_build(request):
+    """Label a test with the kernel build it ran against: pure or compiled."""
     return request.param
 
 

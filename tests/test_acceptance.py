@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from snnkit.arraysearch import ArrayInstance
-from snnkit.engine import RunLimits, Simulation, available_backends, run
+from snnkit.engine import RunLimits, Simulation, run
 from snnkit.gadgets import attach_meter, attach_timer, make_clock, make_number
 from snnkit.harness import (
     ACCEPTED,
@@ -137,14 +137,12 @@ def test_gadget_unit_checks():
 
 def test_determinism_and_round_trip():
     with criterion("byte-identical traces + parse/serialize identity (100 networks)"):
-        backends = available_backends()
         for seed in range(100):
             net = random_network(seed)
             renders = []
-            for backend in backends:
-                for _ in range(2):  # repeated runs
-                    _, trace = run(net, RunLimits(80), trace=True, backend=backend)
-                    renders.append(trace.render())
+            for _ in range(2):  # repeated runs
+                _, trace = run(net, RunLimits(80), trace=True)
+                renders.append(trace.render())
             assert len(set(renders)) == 1, seed
             assert parse_network(serialize_network(net)) == net, seed
 

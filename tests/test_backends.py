@@ -1,60 +1,65 @@
-"""Cross-backend agreement: the compiled and pure kernels are interchangeable."""
+"""The compiled and pure builds of the one kernel source agree.
+
+The compiled build exists only where Cython compiled `_kernel.py` at
+install time; it then shadows the `.py`. The agreement tests load the `.py`
+by path and run it in the compiled build's place, so they skip when the
+pure build is the one imported.
+"""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
+from snnkit import _kernel, engine
 from snnkit.engine import RunLimits, available_backends, run
 from snnkit.randnet import random_network, sparse_benchmark_network
 
-needs_both = pytest.mark.skipif(
-    len(available_backends()) < 2, reason="compiled kernel not built"
+needs_compiled = pytest.mark.skipif(
+    available_backends() != ("compiled",), reason="compiled kernel not built"
 )
 
 
-def _trace_text(network, limits, backend):
-    report, trace = run(network, limits, trace=True, backend=backend)
-    return trace.render()
+def _pure_kernel():
+    path = Path(_kernel.__file__).with_name("_kernel.py")
+    spec = importlib.util.spec_from_file_location("snnkit._kernel_pure", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Kernel
 
 
-@needs_both
-def test_identical_traces_on_random_networks():
+def _trace_text(network, limits):
+    return run(network, limits, trace=True).trace.render()
+
+
+def _compiled_and_pure(network, limits, monkeypatch):
+    compiled = _trace_text(network, limits)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "Kernel", _pure_kernel())
+        pure = _trace_text(network, limits)
+    return compiled, pure
+
+
+@needs_compiled
+def test_identical_traces_on_random_networks(monkeypatch):
     for seed in range(50):
-        net = random_network(seed)
-        texts = {
-            backend: _trace_text(net, RunLimits(80), backend)
-            for backend in available_backends()
-        }
-        values = list(texts.values())
-        assert all(v == values[0] for v in values), f"seed {seed}"
+        compiled, pure = _compiled_and_pure(random_network(seed), RunLimits(80), monkeypatch)
+        assert compiled == pure, f"seed {seed}"
 
 
-@needs_both
-def test_identical_traces_on_benchmark_network():
+@needs_compiled
+def test_identical_traces_on_benchmark_network(monkeypatch):
     net = sparse_benchmark_network(200, seed=1)
-    texts = {
-        backend: _trace_text(net, RunLimits(300), backend)
-        for backend in available_backends()
-    }
-    values = list(texts.values())
-    assert all(v == values[0] for v in values)
+    compiled, pure = _compiled_and_pure(net, RunLimits(300), monkeypatch)
+    assert compiled == pure
 
 
 def test_repeated_runs_are_byte_identical():
-    backendless = available_backends()[0]
     for seed in range(10):
         net = random_network(seed)
-        first = _trace_text(net, RunLimits(60), backendless)
-        second = _trace_text(net, RunLimits(60), backendless)
+        first = _trace_text(net, RunLimits(60))
+        second = _trace_text(net, RunLimits(60))
         assert first == second
-
-
-def test_backend_env_override(monkeypatch):
-    from snnkit import engine
-
-    monkeypatch.setenv("SNNKIT_BACKEND", "pure")
-    assert engine.default_backend() == "pure"
-    monkeypatch.setenv("SNNKIT_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        engine.default_backend()
 
 
 def test_traces_stable_across_processes():

@@ -76,26 +76,27 @@ def _one_shot_network():
     return builder.build()
 
 
+@pytest.mark.usefixtures("kernel_build")
 class TestStep:
-    def test_programmed_spike_counts_energy(self, backend):
-        sim = Simulation(_one_shot_network(), backend=backend)
+    def test_programmed_spike_counts_energy(self):
+        sim = Simulation(_one_shot_network())
         assert sim.step() == ("p",)
         assert sim.energy == 1
         assert sim.pending() == {}
 
-    def test_self_loop_sustains_firing(self, backend):
+    def test_self_loop_sustains_firing(self):
         builder = NetworkBuilder()
         builder.add_input("seed", [0])
         builder.add_neuron("loop")
         builder.add_synapse("seed", "loop")
         builder.add_synapse("loop", "loop")
         net = builder.build()
-        sim = Simulation(net, backend=backend)
+        sim = Simulation(net)
         for _ in range(6):  # t = 0..5
             sim.step()
         assert sim.energy == 1 + 5
 
-    def test_self_retriggering_counter_neuron(self, backend):
+    def test_self_retriggering_counter_neuron(self):
         # threshold = reset = 2, leak 1: once the potential reaches 2 the
         # neuron fires every subsequent step because reset restores it.
         builder = NetworkBuilder()
@@ -104,33 +105,33 @@ class TestStep:
         builder.add_synapse("p", "e")
         builder.add_synapse("p", "e")  # parallel synapses sum
         net = builder.build()
-        sim = Simulation(net, backend=backend)
+        sim = Simulation(net)
         fired_at = []
         for t in range(8):
             if "e" in sim.step():
                 fired_at.append(t)
         assert fired_at == [1, 2, 3, 4, 5, 6, 7]
 
-    def test_inputs_to_programmed_neurons_are_ignored(self, backend):
+    def test_inputs_to_programmed_neurons_are_ignored(self):
         builder = NetworkBuilder()
         builder.add_input("p", [3])
         builder.add_input("q", [0])
         builder.add_neuron("sink")
         builder.add_synapse("q", "p", weight=100)
         builder.add_synapse("q", "sink", weight=100)
-        sim = Simulation(builder.build(), backend=backend)
+        sim = Simulation(builder.build())
         fires = {t: sim.step() for t in range(5)}
         assert fires[1] == ("sink",)
         assert fires[3] == ("p",)
         assert fires[2] == ()
 
-    def test_potentials_are_exact_and_clamped(self, backend):
+    def test_potentials_are_exact_and_clamped(self):
         builder = NetworkBuilder()
         builder.add_input("p", [0])
         builder.add_neuron("n", threshold=10, leak="1/2")
         builder.add_synapse("p", "n", weight="3/4")
         builder.set_accept("n")
-        sim = Simulation(builder.build(), backend=backend)
+        sim = Simulation(builder.build())
         sim.step()
         sim.step()
         assert sim.potentials()["n"] == F(3, 4)
@@ -139,13 +140,13 @@ class TestStep:
         sim.step()
         assert sim.potentials()["n"] == F(3, 16)
 
-    def test_pending_only_future_arrivals(self, backend):
+    def test_pending_only_future_arrivals(self):
         builder = NetworkBuilder()
         builder.add_input("p", [0])
         builder.add_neuron("n")
         builder.add_synapse("p", "n", delay=3, weight="1/2")
         builder.set_accept("n")
-        sim = Simulation(builder.build(), backend=backend)
+        sim = Simulation(builder.build())
         sim.step()
         assert sim.pending() == {(3, "n"): F(1, 2)}
         sim.step()
@@ -153,15 +154,15 @@ class TestStep:
         sim.step()
         assert sim.pending() == {}
 
-    def test_step_after_verdict_raises(self, backend, trivial_accept_network):
-        sim = Simulation(trivial_accept_network, backend=backend)
+    def test_step_after_verdict_raises(self, trivial_accept_network):
+        sim = Simulation(trivial_accept_network)
         sim.step()
         assert sim.verdict == "accept"
         with pytest.raises(RuntimeError):
             sim.step()
 
-    def test_state_snapshot(self, backend):
-        sim = Simulation(_one_shot_network(), backend=backend)
+    def test_state_snapshot(self):
+        sim = Simulation(_one_shot_network())
         sim.step()
         state = sim.state()
         assert state.t == 1
@@ -169,22 +170,23 @@ class TestStep:
         assert state.fired_now == ("p",)
 
 
+@pytest.mark.usefixtures("kernel_build")
 class TestRun:
-    def test_trivial_accept(self, backend, trivial_accept_network):
-        report, _ = run(trivial_accept_network, RunLimits(10), backend=backend)
+    def test_trivial_accept(self, trivial_accept_network):
+        report, _ = run(trivial_accept_network, RunLimits(10))
         assert report == ResourceReport("accept", 1, 1, 1, 1, 0)
 
-    def test_simultaneous_verdicts_are_ambiguous(self, backend):
+    def test_simultaneous_verdicts_are_ambiguous(self):
         builder = NetworkBuilder()
         builder.add_input("a", [0])
         builder.add_input("r", [0])
         builder.set_accept("a")
         builder.set_reject("r")
-        report, _ = run(builder.build(), RunLimits(5), backend=backend)
+        report, _ = run(builder.build(), RunLimits(5))
         assert report.verdict == "ambiguous"
         assert report.time == 1
 
-    def test_clock_into_accept(self, backend):
+    def test_clock_into_accept(self):
         builder = NetworkBuilder()
         builder.add_input("seed", [0])
         builder.add_neuron("clk")
@@ -193,56 +195,52 @@ class TestRun:
         builder.add_neuron("acc")
         builder.add_synapse("clk", "acc")
         builder.set_accept("acc")
-        report, trace = run(builder.build(), RunLimits(32), trace=True, backend=backend)
+        report, trace = run(builder.build(), RunLimits(32), trace=True)
         assert report.verdict == "accept"
         assert trace.fire_times("acc") == (2,)
         assert report.energy == 3  # seed, clock tick, accept
 
-    def test_timeout_at_step_cap(self, backend):
+    def test_timeout_at_step_cap(self):
         builder = NetworkBuilder()
         builder.add_neuron("acc")  # never fires
         builder.set_accept("acc")
-        report, _ = run(builder.build(), RunLimits(7), backend=backend)
+        report, _ = run(builder.build(), RunLimits(7))
         assert report.verdict == "timeout"
         assert report.time == 7
 
-    def test_spike_cap_times_out(self, backend):
+    def test_spike_cap_times_out(self):
         builder = NetworkBuilder()
         builder.add_input("p", [0, 1, 2, 3, 4, 5])
         builder.add_neuron("acc")
         builder.set_accept("acc")
-        report, _ = run(
-            builder.build(), RunLimits(10, max_total_spikes=2), backend=backend
-        )
+        report, _ = run(builder.build(), RunLimits(10, max_total_spikes=2))
         assert report.verdict == "timeout"
         assert report.energy == 3
         assert report.time == 3
 
-    def test_verdict_wins_over_spike_cap_in_same_step(self, backend, trivial_accept_network):
-        report, _ = run(
-            trivial_accept_network, RunLimits(10, max_total_spikes=0), backend=backend
-        )
+    def test_verdict_wins_over_spike_cap_in_same_step(self, trivial_accept_network):
+        report, _ = run(trivial_accept_network, RunLimits(10, max_total_spikes=0))
         assert report.verdict == "accept"
 
-    def test_requires_verdict_neuron(self, backend):
+    def test_requires_verdict_neuron(self):
         builder = NetworkBuilder()
         builder.add_neuron("n")
         with pytest.raises(NoVerdictNeuronError):
-            run(builder.build(), RunLimits(5), backend=backend)
+            run(builder.build(), RunLimits(5))
 
-    def test_rejects_invalid_network(self, backend):
+    def test_rejects_invalid_network(self):
         bad = Network(neurons=(NeuronSpec("a", threshold=F(-1)),), accept="a")
         with pytest.raises(InvalidNetworkError):
-            run(bad, RunLimits(5), backend=backend)
+            run(bad, RunLimits(5))
 
-    def test_gadget_energy_split(self, backend):
+    def test_gadget_energy_split(self):
         builder = NetworkBuilder()
         builder.add_input("p", [0, 2])
         builder.add_input("g", [1])
         builder.add_neuron("acc")
         builder.set_accept("acc")
         builder.tag_gadget("g")
-        report, _ = run(builder.build(), RunLimits(5), backend=backend)
+        report, _ = run(builder.build(), RunLimits(5))
         assert report.energy == 3
         assert report.energy_payload == 2
 
@@ -283,11 +281,12 @@ class TestReportInvariant:
             ResourceReport("accept", 1, 5, 5, 2, 0)
 
 
+@pytest.mark.usefixtures("kernel_build")
 class TestAgainstReference:
-    def test_random_networks_match_brute_force(self, backend):
+    def test_random_networks_match_brute_force(self):
         for seed in range(40):
             net = random_network(seed, max_neurons=12, max_synapses=30)
-            report, trace = run(net, RunLimits(60), trace=True, backend=backend)
+            report, trace = run(net, RunLimits(60), trace=True)
             ref = simulate_reference(net, 60)
             assert report.verdict == ref.verdict, f"seed {seed}"
             assert report.time == ref.time, f"seed {seed}"
@@ -296,38 +295,38 @@ class TestAgainstReference:
             got = [(step.t, step.fired) for step in trace.steps]
             assert got == ref.fired_log, f"seed {seed}"
 
-    def test_programmed_independence(self, backend):
+    def test_programmed_independence(self):
         # Firing times of programmed neurons equal their schedule regardless
         # of incoming synapses.
         for seed in range(20):
             net = random_network(seed, max_neurons=10, max_synapses=25)
-            _, trace = run(net, RunLimits(50), trace=True, backend=backend)
+            _, trace = run(net, RunLimits(50), trace=True)
             horizon = trace.report.time
             for name, sched in net.programmed.items():
                 expected = tuple(t for t in range(horizon) if sched.fires_at(t))
                 assert trace.fire_times(name) == expected
 
-    def test_no_duplicate_ids_within_step(self, backend):
+    def test_no_duplicate_ids_within_step(self):
         for seed in range(10):
             net = random_network(seed)
-            _, trace = run(net, RunLimits(50), trace=True, backend=backend)
+            _, trace = run(net, RunLimits(50), trace=True)
             for step in trace.steps:
                 assert len(set(step.fired)) == len(step.fired)
 
-    def test_potentials_nonnegative_throughout(self, backend):
+    def test_potentials_nonnegative_throughout(self):
         for seed in range(10):
             net = random_network(seed, max_neurons=8, max_synapses=20)
-            sim = Simulation(net, backend=backend)
+            sim = Simulation(net)
             for _ in range(30):
                 if sim.verdict is not None:
                     break
                 sim.step()
                 assert all(v >= 0 for v in sim.potentials().values())
 
-    def test_pending_arrivals_always_in_the_future(self, backend):
+    def test_pending_arrivals_always_in_the_future(self):
         for seed in range(10):
             net = random_network(seed, max_neurons=8, max_synapses=20)
-            sim = Simulation(net, backend=backend)
+            sim = Simulation(net)
             for _ in range(25):
                 if sim.verdict is not None:
                     break
@@ -336,20 +335,21 @@ class TestAgainstReference:
                 assert all(arrival > last_step for arrival, _ in sim.pending())
 
 
+@pytest.mark.usefixtures("kernel_build")
 class TestLongIdleDecay:
-    def test_decay_over_long_gap_is_exact(self, backend):
+    def test_decay_over_long_gap_is_exact(self):
         # The potential sits untouched for 49 steps; the stored value must
         # equal stepwise halving exactly: 2**-50 + 1 after the second spike.
         builder = NetworkBuilder()
         builder.add_input("p", [0, 50])
         builder.add_neuron("n", threshold=100, leak="1/2")
         builder.add_synapse("p", "n")
-        sim = Simulation(builder.build(), backend=backend)
+        sim = Simulation(builder.build())
         for _ in range(52):
             sim.step()
         assert sim.potentials()["n"] == Fraction(1, 2**50) + 1
 
-    def test_long_gap_matches_reference(self, backend):
+    def test_long_gap_matches_reference(self):
         builder = NetworkBuilder()
         builder.add_input("p", [0, 40])
         builder.add_neuron("n", threshold="81/80", leak="3/4")
@@ -358,34 +358,35 @@ class TestLongIdleDecay:
         builder.add_synapse("n", "acc")
         builder.set_accept("acc")
         net = builder.build()
-        report, trace = run(net, RunLimits(60), trace=True, backend=backend)
+        report, trace = run(net, RunLimits(60), trace=True)
         ref = simulate_reference(net, 60)
         assert [(s.t, s.fired) for s in trace.steps] == ref.fired_log
         assert report.verdict == ref.verdict
 
 
+@pytest.mark.usefixtures("kernel_build")
 class TestScheduleEdges:
-    def test_periodic_offset_beyond_horizon(self, backend):
+    def test_periodic_offset_beyond_horizon(self):
         builder = NetworkBuilder()
         builder.add_input("late", PeriodicSchedule(offset=100, period=3))
         builder.add_neuron("acc")
         builder.set_accept("acc")
-        report, _ = run(builder.build(), RunLimits(50), backend=backend)
+        report, _ = run(builder.build(), RunLimits(50))
         assert report.verdict == "timeout"
         assert report.energy == 0
 
-    def test_empty_explicit_schedule_never_fires(self, backend):
+    def test_empty_explicit_schedule_never_fires(self):
         builder = NetworkBuilder()
         builder.add_input("mute", [])
         builder.add_neuron("acc")
         builder.set_accept("acc")
-        report, _ = run(builder.build(), RunLimits(20), backend=backend)
+        report, _ = run(builder.build(), RunLimits(20))
         assert report.energy == 0
 
-    def test_dense_explicit_schedule(self, backend):
+    def test_dense_explicit_schedule(self):
         builder = NetworkBuilder()
         builder.add_input("p", list(range(0, 20, 2)))
         builder.add_neuron("acc", threshold=100)
         builder.set_accept("acc")
-        report, _ = run(builder.build(), RunLimits(30), backend=backend)
+        report, _ = run(builder.build(), RunLimits(30))
         assert report.energy == 10

@@ -14,8 +14,8 @@ from snnkit.model import NetworkBuilder, SynapseSpec
 from snnkit.randnet import random_network
 
 
-def _fire_times(network, name, steps, backend=None):
-    sim = Simulation(network, backend=backend) if backend else Simulation(network)
+def _fire_times(network, name, steps):
+    sim = Simulation(network)
     times = []
     for t in range(steps):
         if name in sim.step():

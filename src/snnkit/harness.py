@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
@@ -95,12 +95,12 @@ class ResourceBound:
             raise ValueError("input size must be >= 0")
         if self.kind == "table":
             return self.coefficients[min(n, len(self.coefficients) - 1)]
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in self.coefficients:
-            total += c * power
-            power *= n
-        return total
+        ratios = [c.as_integer_ratio() for c in self.coefficients]
+        den = lcm(*(q for _, q in ratios))
+        total = 0
+        for p, q in reversed(ratios):  # Horner's rule over integer numerators
+            total = total * n + p * (den // q)
+        return Fraction(total, den)
 
 
 @dataclass(frozen=True)
@@ -364,13 +364,15 @@ def network_halting_oracle(
     Simulation is capped at the declared time and energy, so the caller's
     cost never exceeds the bounds even when the promise is broken. The
     outcome is "accepted"/"rejected" when the run stays inside the caps and
-    reaches an unambiguous verdict, "promise_violated" otherwise.
+    reaches an unambiguous verdict, "promise_violated" otherwise. Caps that
+    no run can meet (time below 1, energy below 0) answer "promise_violated"
+    without simulating.
     """
     if inputs:
         network = network.bind_schedules(inputs)
     neurons = network.size()
     synapses = len(network.synapses)
-    if caps.time < 1:
+    if caps.time < 1 or caps.energy < 0:
         report = ResourceReport(TIMEOUT, 0, 0, 0, neurons, synapses)
         return OracleAnswer(PROMISE_VIOLATED, report)
     report = run(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -23,7 +24,7 @@ DEFAULT_DELAY = 1
 DEFAULT_WEIGHT = Fraction(1)
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 class InvalidNetworkError(ValueError):
@@ -202,12 +203,21 @@ class Network:
         return len(self.neurons) + len(self.programmed)
 
     def incoming_weight_magnitude(self, post: str) -> Fraction:
-        """Sum of |weight| over all synapses into `post`."""
-        total = Fraction(0)
+        """Sum of |weight| over all synapses into `post`.
+
+        Summed as an integer over a running common denominator, so the one
+        reduction happens when the result is built.
+        """
+        total, den = 0, 1
         for syn in self.synapses:
             if syn.post == post:
-                total += abs(syn.weight)
-        return total
+                p, q = syn.weight.as_integer_ratio()
+                if den % q:
+                    scale = lcm(den, q) // den
+                    total *= scale
+                    den *= scale
+                total += abs(p) * (den // q)
+        return Fraction(total, den)
 
     def bind_schedules(self, bindings: Mapping[str, object]) -> "Network":
         """Replace the schedules of existing programmed neurons."""
@@ -254,11 +264,12 @@ def validate_network(network: Network) -> list[str]:
         if spec.id in seen:
             out.append(f"duplicate id {spec.id!r}")
         seen.add(spec.id)
-        if spec.threshold < 0:
+        if spec.threshold.numerator < 0:
             out.append(f"neuron {spec.id}: threshold must be >= 0")
-        if spec.reset < 0:
+        if spec.reset.numerator < 0:
             out.append(f"neuron {spec.id}: reset must be >= 0")
-        if not 0 <= spec.leak <= 1:
+        p, q = spec.leak.as_integer_ratio()
+        if not 0 <= p <= q:
             out.append(f"neuron {spec.id}: leak must be in [0, 1]")
     for name, sched in network.programmed.items():
         if not is_valid_id(name):
@@ -269,12 +280,15 @@ def validate_network(network: Network) -> list[str]:
         seen.add(name)
         _check_schedule(name, sched, out)
     for syn in network.synapses:
+        bad_delay = not isinstance(syn.delay, int) or syn.delay < 1
+        if not bad_delay and syn.pre in seen and syn.post in seen:
+            continue
         label = f"synapse {syn.pre}->{syn.post}"
         if syn.pre not in seen:
             out.append(f"{label}: unknown pre neuron {syn.pre!r}")
         if syn.post not in seen:
             out.append(f"{label}: unknown post neuron {syn.post!r}")
-        if not isinstance(syn.delay, int) or syn.delay < 1:
+        if bad_delay:
             out.append(f"{label}: delay must be >= 1")
     for role, name in (("accept", network.accept), ("reject", network.reject)):
         if name is not None and name not in seen:

@@ -11,10 +11,11 @@ significant line must be the header ``snn 1``. Remaining lines:
     reject <id>
     gadget <id>
 
-Rationals are `p` or `p/q` with q > 0; omitted attributes take the defaults
-(threshold=1, reset=0, leak=1, delay=1, weight=1). Serialization is
-canonical: parse(serialize(n)) == n for every valid network and repeated
-serialize calls are byte-identical.
+Numerals are ASCII: an integer is `-?[0-9]+` and a rational is `p` or `p/q`
+with q > 0; anything else (`+2`, `1_0`, non-ASCII digits) is a format error.
+Omitted attributes take the defaults (threshold=1, reset=0, leak=1, delay=1,
+weight=1). Serialization is canonical: parse(serialize(n)) == n for every
+valid network and repeated serialize calls are byte-identical.
 
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``: one ``port=<schedule>`` line per port, where <schedule>
@@ -23,6 +24,7 @@ is ``t1;t2;...`` or ``periodic:<offset>:<period>``.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 from .model import (
@@ -44,6 +46,8 @@ from .model import (
 )
 
 HEADER = "snn 1"
+
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class NetworkFormatError(ValueError):
@@ -68,12 +72,21 @@ def _split_attrs(tokens, lineno, errors, allowed):
     return attrs
 
 
+def _as_int(text):
+    """`text` as an int if it is an ASCII numeral `-?[0-9]+`, else None."""
+    if _INT_RE.match(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _parse_int(value, what, lineno, errors):
-    try:
-        return int(value)
-    except ValueError:
+    number = _as_int(value)
+    if number is None:
         errors.append(f"line {lineno}: {what} must be an integer, got {value!r}")
-        return None
+    return number
 
 
 def _parse_rat(value, what, lineno, errors):
@@ -159,16 +172,18 @@ class _Parser:
         threshold = reset = leak = None
         if "threshold" in attrs:
             threshold = _parse_rat(attrs["threshold"], "threshold", lineno, self.errors)
-            if threshold is not None and threshold < 0:
+            if threshold is not None and threshold.numerator < 0:
                 self.err(lineno, "threshold must be >= 0")
         if "reset" in attrs:
             reset = _parse_rat(attrs["reset"], "reset", lineno, self.errors)
-            if reset is not None and reset < 0:
+            if reset is not None and reset.numerator < 0:
                 self.err(lineno, "reset must be >= 0")
         if "leak" in attrs:
             leak = _parse_rat(attrs["leak"], "leak", lineno, self.errors)
-            if leak is not None and not 0 <= leak <= 1:
-                self.err(lineno, "leak must be in [0, 1]")
+            if leak is not None:
+                p, q = leak.as_integer_ratio()
+                if not 0 <= p <= q:
+                    self.err(lineno, "leak must be in [0, 1]")
         self.neurons.append(
             NeuronSpec(
                 name,
@@ -359,9 +374,8 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
             if len(pieces) != 3:
                 errors.append(f"line {lineno}: periodic schedule is periodic:<offset>:<period>")
                 continue
-            try:
-                offset, period = int(pieces[1]), int(pieces[2])
-            except ValueError:
+            offset, period = _as_int(pieces[1]), _as_int(pieces[2])
+            if offset is None or period is None:
                 errors.append(f"line {lineno}: malformed periodic schedule {value!r}")
                 continue
             if offset < 0 or period < 1:

@@ -216,6 +216,15 @@ class TestOracle:
         assert code == 3
         assert "outcome=promise_violated" in out
 
+    @pytest.mark.parametrize("cap", ["--time", "--space", "--energy"])
+    def test_negative_cap_exit_3(self, tmp_path, capsys, cap):
+        path = tmp_path / "net.snn"
+        path.write_text(TRIVIAL)
+        caps = {"--time": "5", "--space": "5", "--energy": "5", cap: "-1"}
+        code, out, _ = run_cli(["oracle", str(path), *(x for kv in caps.items() for x in kv)], capsys)
+        assert code == 3
+        assert "outcome=promise_violated" in out
+
 
 class TestHost:
     def test_host_program(self, tmp_path, capsys):

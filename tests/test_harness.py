@@ -207,6 +207,11 @@ class TestOracle:
         )
         assert answer.outcome == REJECTED
 
+    def test_negative_energy_cap_is_violated_without_a_run(self, trivial_accept_network):
+        answer = network_halting_oracle(trivial_accept_network, _caps(2, 2, -1))
+        assert answer.outcome == PROMISE_VIOLATED
+        assert (answer.report.time, answer.report.energy) == (0, 0)
+
     def test_space_violation(self, trivial_accept_network):
         answer = network_halting_oracle(trivial_accept_network, _caps(2, 0, 2))
         assert answer.outcome == PROMISE_VIOLATED

@@ -70,6 +70,20 @@ class TestPrograms:
         assert result.verdict == "accept"
         assert result.calls[0].outcome == "promise_violated"
 
+    def test_negative_energy_cap_is_a_violation(self):
+        program = (
+            "let n = compile array-search --variant a --array 1,2 --target 2 --bound 4\n"
+            "let b = oracle n time=20 space=10 energy=-1\n"
+            "if b=violated goto caught\n"
+            "reject\n"
+            "label caught\n"
+            "accept\n"
+        )
+        result = host_run(program)
+        assert result.verdict == "accept"
+        assert result.calls[0].outcome == "promise_violated"
+        assert (result.calls[0].time, result.calls[0].energy) == (0, 0)
+
     def test_branch_on_rejected(self):
         program = (
             "let net = compile array-search --variant a --array 2 --target 0 --bound 4\n"

@@ -126,6 +126,25 @@ def test_negative_threshold_and_reset():
     assert any("reset must be >= 0" in e for e in errors)
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("neuron b threshold=٣", "line 3: threshold: malformed rational '٣'"),
+        ("synapse a -> a delay=1_0", "line 3: delay must be an integer, got '1_0'"),
+        ("synapse a -> a delay=+2", "line 3: delay must be an integer, got '+2'"),
+        ("input b periodic offset=٣ period=1", "line 3: offset must be an integer, got '٣'"),
+        ("input b schedule=1;+2", "line 3: schedule time must be an integer, got '+2'"),
+        pytest.param(
+            "synapse a -> a delay=" + "9" * 5000,
+            "line 3: delay must be an integer, got '" + "9" * 5000 + "'",
+            id="more-digits-than-int-converts",
+        ),
+    ],
+)
+def test_numerals_outside_the_grammar(line, error):
+    assert _errors(f"snn 1\nneuron a\n{line}\naccept a\n") == [error]
+
+
 def test_accept_equals_reject():
     errors = _errors("snn 1\nneuron a\naccept a\nreject a\n")
     assert any("accept and reject are both 'a'" in e for e in errors)
@@ -224,3 +243,22 @@ def test_port_bindings_errors():
         parse_port_bindings("bad line\n")
     with pytest.raises(NetworkFormatError):
         parse_port_bindings("p=periodic:1\n")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a=1_0\n", "line 1: schedule time must be an integer, got '1_0'"),
+        ("a=periodic:+1:٢\n", "line 1: malformed periodic schedule 'periodic:+1:٢'"),
+        ("a=periodic:1:1_0\n", "line 1: malformed periodic schedule 'periodic:1:1_0'"),
+        pytest.param(
+            "a=periodic:" + "9" * 5000 + ":1\n",
+            "line 1: malformed periodic schedule 'periodic:" + "9" * 5000 + ":1'",
+            id="more-digits-than-int-converts",
+        ),
+    ],
+)
+def test_port_binding_numerals_outside_the_grammar(text, error):
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_port_bindings(text)
+    assert excinfo.value.errors == [error]

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import engine, gadgets, harness, hostprog, snnfmt
-from .model import InvalidNetworkError, NetworkBuilder
+from .model import InvalidNetworkError, check_network, parse_int
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -31,7 +31,7 @@ def _read_text(path: str) -> str:
 
 
 def _write_network(network, path: str) -> None:
-    text = snnfmt.serialize_network(network)
+    text = snnfmt.serialize_network(check_network(network))
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -91,18 +91,12 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    compiler = harness.flag_compiler(args.problem, args.variant)
-    elements = tuple(int(v) for v in args.array.split(",")) if args.array else ()
-    compile_args, schedules = compiler.from_flags(
-        array=elements, size=args.size, target=args.target, bound=args.bound
-    )
-    compiled = compiler.compile(*compile_args, NetworkBuilder())
-    if schedules:
-        if not args.inputs_out:
-            raise SystemExit("emitting input schedules needs --inputs-out <file>")
-        compiled.check_ports(schedules)
-        Path(args.inputs_out).write_text(snnfmt.serialize_port_bindings(schedules))
+    compiled, schedules = harness.compile_from_flags(args.problem, args)
+    if schedules and not args.inputs_out:
+        raise SystemExit("emitting input schedules needs --inputs-out <file>")
     _write_network(compiled.network, args.output)
+    if schedules:
+        Path(args.inputs_out).write_text(snnfmt.serialize_port_bindings(schedules))
     return EXIT_ACCEPT
 
 
@@ -165,38 +159,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="simulate a network until verdict or cap")
     p.add_argument("network", help=".snn file or - for stdin")
     p.add_argument("--inputs", help="port-binding file (port=<schedule> lines)")
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--max-spikes", type=int, default=None)
+    p.add_argument("--max-steps", type=parse_int, default=10_000)
+    p.add_argument("--max-spikes", type=parse_int, default=None)
     p.add_argument("--trace", action="store_true", help="print per-step firings")
     p.add_argument("--raster", action="store_true", help="print a spike raster")
     p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("gadget", help="emit a circuit fragment or augment a network")
     p.add_argument("kind", choices=("constant", "clock", "number", "timer", "meter"))
-    p.add_argument("--period", type=int, help="clock period K")
-    p.add_argument("--value", type=int, help="number to encode temporally")
-    p.add_argument("--bound", type=int, help="step deadline (timer) or spike budget (meter)")
+    p.add_argument("--period", type=parse_int, help="clock period K")
+    p.add_argument("--value", type=parse_int, help="number to encode temporally")
+    p.add_argument("--bound", type=parse_int, help="step deadline (timer) or spike budget (meter)")
     p.add_argument("--attach", help="network to augment (.snn file or -)")
     p.add_argument("--prefix", help="id prefix for fragment neurons")
     p.add_argument("--output", default="-", help="where to write the .snn (default stdout)")
     p.set_defaults(fn=_cmd_gadget)
 
-    p = sub.add_parser("compile", help="compile a problem instance into a network")
+    p = sub.add_parser("compile", parents=[harness.COMPILE_FLAGS], allow_abbrev=False,
+                       help="compile a problem instance into a network")
     p.add_argument("problem", choices=sorted(problems))
-    p.add_argument("--variant", choices=variants, required=True)
-    p.add_argument("--array", default="", help="comma-separated elements")
-    p.add_argument("--size", type=int, help="array length (variant c)")
-    p.add_argument("--target", type=int, help="value to search for")
-    p.add_argument("--bound", type=int, required=True, help="exclusive value bound V")
     p.add_argument("--output", default="-", help="where to write the .snn (default stdout)")
     p.add_argument("--inputs-out", help="write port schedules here (given a --target)")
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("oracle", help="promise-bounded accept/reject query")
     p.add_argument("network", help=".snn file or - for stdin")
-    p.add_argument("--time", type=int, required=True)
-    p.add_argument("--space", type=int, required=True)
-    p.add_argument("--energy", type=int, required=True)
+    p.add_argument("--time", type=parse_int, required=True)
+    p.add_argument("--space", type=parse_int, required=True)
+    p.add_argument("--energy", type=parse_int, required=True)
     p.add_argument("--inputs", help="port-binding file")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -207,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep a compiler against brute force")
     p.add_argument("problem", choices=sorted(problems))
     p.add_argument("--variant", choices=variants, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--max-val", type=int, required=True)
-    p.add_argument("--random", type=int, default=0, help="extra seeded random instances")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-len", type=parse_int, required=True)
+    p.add_argument("--max-val", type=parse_int, required=True)
+    p.add_argument("--random", type=parse_int, default=0, help="extra seeded random instances")
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -16,6 +16,7 @@ distinguished outcome "promise_violated" instead of an arbitrary bit.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .engine import (
     run,
 )
 from .gadgets import attach_meter, attach_timer
-from .model import Network, NetworkBuilder
+from .model import Network, NetworkBuilder, parse_int
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -306,6 +307,44 @@ def flag_compiler(problem: str, variant: str | None) -> CompilerEntry:
     if variant not in variants:
         raise ValueError(f"{problem} needs --variant {'|'.join(variants)}")
     return _REGISTRY[f"{problem}-{variant}"]
+
+
+class _FlagParser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError where argparse would exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# The flags that feed `from_flags`, for the CLI and the host `compile` alike.
+COMPILE_FLAGS = _FlagParser(add_help=False, allow_abbrev=False)
+COMPILE_FLAGS.add_argument("--variant", help="compiler variant")
+COMPILE_FLAGS.add_argument("--array", default="", help="comma-separated elements")
+COMPILE_FLAGS.add_argument("--size", type=parse_int, help="array length (variant c)")
+COMPILE_FLAGS.add_argument("--target", type=parse_int, help="value to search for")
+COMPILE_FLAGS.add_argument("--bound", type=parse_int, help="exclusive value bound V")
+
+
+def compile_from_flags(
+    problem: str, flags: argparse.Namespace
+) -> tuple[CompiledStructure, Mapping[str, object] | None]:
+    """Compile the instance that `<problem>` and flags parsed by COMPILE_FLAGS name.
+
+    Returns the compiled structure and its port schedules, already checked
+    against its ports, or None for the schedules when no target is given.
+    Raises ValueError on flags that name no instance.
+    """
+    entry = flag_compiler(problem, flags.variant)
+    if flags.bound is None:
+        raise ValueError("compile needs --bound")
+    array = tuple(parse_int(piece) for piece in flags.array.split(",")) if flags.array else ()
+    compile_args, schedules = entry.from_flags(
+        array=array, size=flags.size, target=flags.target, bound=flags.bound
+    )
+    compiled = entry.compile(*compile_args, NetworkBuilder())
+    if schedules is not None:
+        compiled.check_ports(schedules)
+    return compiled, schedules
 
 
 def generate_and_decide(

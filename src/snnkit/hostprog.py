@@ -13,8 +13,10 @@ about them, and branches on the answers. Line-oriented grammar:
 
 A bare ``if <bit>`` tests for an accepted answer; the ``=violated`` form
 lets programs branch on the distinguished promise-violation outcome.
-Compile args use the same flags as the command line, e.g.
-``array-search --variant a --array 1,2 --target 2 --bound 4``.
+Compile args are the command line's compile flags, parsed by the same
+`harness.COMPILE_FLAGS`, e.g. ``array-search --variant b --array 1,2 --bound 4``;
+``--flag=value`` works, abbreviations are rejected, and every integer (the
+oracle caps too) is ASCII ``-?[0-9]+``.
 
 Execution is sequential and the call log records every oracle query.
 """
@@ -27,18 +29,18 @@ from typing import Callable, Mapping
 
 from .harness import (
     ACCEPTED,
+    COMPILE_FLAGS,
     PROMISE_VIOLATED,
     REJECTED,
     OracleAnswer,
     ResourceCaps,
-    flag_compiler,
+    compile_from_flags,
     network_halting_oracle,
 )
-from .model import Network, NetworkBuilder
+from .model import Network, parse_int
 from .snnfmt import parse_port_bindings
 
 _OUTCOME_TOKENS = {"accepted": ACCEPTED, "rejected": REJECTED, "violated": PROMISE_VIOLATED}
-_COMPILE_FLAGS = ("variant", "array", "size", "target", "bound")
 
 
 class HostProgramError(ValueError):
@@ -100,46 +102,17 @@ class _Halt:
     verdict: str
 
 
-def _parse_flags(tokens, lineno):
-    flags = {}
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if not token.startswith("--"):
-            raise HostProgramError(f"line {lineno}: expected a --flag, got {token!r}")
-        if token[2:] not in _COMPILE_FLAGS:
-            raise HostProgramError(f"line {lineno}: unknown flag {token!r}")
-        if i + 1 >= len(tokens):
-            raise HostProgramError(f"line {lineno}: flag {token!r} needs a value")
-        flags[token[2:]] = tokens[i + 1]
-        i += 2
-    return flags
-
-
-def _parse_csv(text):
-    if text == "":
-        return ()
-    return tuple(int(piece) for piece in text.split(","))
-
-
 def build_compiled_network(compiler: str, args: tuple[str, ...], lineno: int = 0) -> Network:
     """Build a network from CLI-style compile arguments.
 
     Without a --target the network's input ports are left unbound, to be
     filled via the oracle's inputs file.
     """
-    flags = _parse_flags(args, lineno)
     try:
-        entry = flag_compiler(compiler, flags.get("variant"))
-        if "bound" not in flags:
-            raise ValueError("compile needs --bound")
-        compile_args, schedules = entry.from_flags(
-            array=_parse_csv(flags.get("array", "")),
-            size=int(flags["size"]) if "size" in flags else None,
-            target=int(flags["target"]) if "target" in flags else None,
-            bound=int(flags["bound"]),
-        )
-        compiled = entry.compile(*compile_args, NetworkBuilder())
+        flags, extra = COMPILE_FLAGS.parse_known_args(args)
+        if extra:
+            raise ValueError(f"unknown flag {extra[0]!r}")
+        compiled, schedules = compile_from_flags(compiler, flags)
         return compiled.network if schedules is None else compiled.bind(schedules)
     except ValueError as exc:
         raise HostProgramError(f"line {lineno}: {exc}") from None
@@ -200,7 +173,7 @@ def parse_program(text: str):
                         inputs_file = value
                     elif key in ("time", "space", "energy"):
                         try:
-                            caps[key] = int(value)
+                            caps[key] = parse_int(value)
                         except ValueError:
                             raise HostProgramError(
                                 f"line {lineno}: {key} must be an integer"

@@ -24,6 +24,7 @@ DEFAULT_DELAY = 1
 DEFAULT_WEIGHT = Fraction(1)
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
@@ -38,6 +39,13 @@ class InvalidNetworkError(ValueError):
 def is_valid_id(name: object) -> bool:
     """Identifiers are nonempty strings over letters, digits, underscore."""
     return isinstance(name, str) and bool(_ID_RE.match(name))
+
+
+def parse_int(text: str) -> int:
+    """Parse an ASCII integer `-?[0-9]+`; `+4`, `1_0` and non-ASCII digits raise ValueError."""
+    if not _INT_RE.match(text):
+        raise ValueError(f"malformed integer {text!r} (expected -?[0-9]+)")
+    return int(text)  # also ValueError with more digits than int() converts
 
 
 def parse_rational(text: str) -> Fraction:

@@ -24,7 +24,6 @@ is ``t1;t2;...`` or ``periodic:<offset>:<period>``.
 
 from __future__ import annotations
 
-import re
 from typing import Mapping
 
 from .model import (
@@ -41,13 +40,12 @@ from .model import (
     SynapseSpec,
     format_rational,
     is_valid_id,
+    parse_int,
     parse_rational,
     validate_network,
 )
 
 HEADER = "snn 1"
-
-_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class NetworkFormatError(ValueError):
@@ -72,21 +70,12 @@ def _split_attrs(tokens, lineno, errors, allowed):
     return attrs
 
 
-def _as_int(text):
-    """`text` as an int if it is an ASCII numeral `-?[0-9]+`, else None."""
-    if _INT_RE.match(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    return None
-
-
 def _parse_int(value, what, lineno, errors):
-    number = _as_int(value)
-    if number is None:
+    try:
+        return parse_int(value)
+    except ValueError:
         errors.append(f"line {lineno}: {what} must be an integer, got {value!r}")
-    return number
+        return None
 
 
 def _parse_rat(value, what, lineno, errors):
@@ -374,8 +363,9 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
             if len(pieces) != 3:
                 errors.append(f"line {lineno}: periodic schedule is periodic:<offset>:<period>")
                 continue
-            offset, period = _as_int(pieces[1]), _as_int(pieces[2])
-            if offset is None or period is None:
+            try:
+                offset, period = parse_int(pieces[1]), parse_int(pieces[2])
+            except ValueError:
                 errors.append(f"line {lineno}: malformed periodic schedule {value!r}")
                 continue
             if offset < 0 or period < 1:

@@ -117,6 +117,15 @@ class TestGadget:
         net = parse_network(out)
         assert "meter" in net.gadget_tags
 
+    @pytest.mark.parametrize("kind", ["constant", "clock", "number"])
+    def test_invalid_prefix_is_usage_error(self, kind, capsys):
+        code, out, err = run_cli(
+            ["gadget", kind, "--period", "3", "--value", "1", "--prefix", "bad-id"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid neuron id 'bad-id_" in err
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["gadget", "clock"], capsys)
         assert code == 2
@@ -181,6 +190,17 @@ class TestCompile:
         )
         assert code == 2
         assert "--inputs-out" in err
+
+    def test_failed_output_leaves_no_sidecar(self, tmp_path, capsys):
+        sidecar = tmp_path / "side.in"
+        code, _, _ = run_cli(
+            ["compile", "array-search", "--variant", "b", "--array", "1,2",
+             "--target", "1", "--bound", "4", "--inputs-out", str(sidecar),
+             "--output", str(tmp_path / "missing" / "x.snn")],
+            capsys,
+        )
+        assert code == 2
+        assert not sidecar.exists()
 
     def test_generator_output_accepted_verbatim_by_sim(self, capsys, monkeypatch):
         # Pipeline composability: every generator's output parses untouched.
@@ -288,6 +308,24 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "NET", "--max-steps", "١٠"],
+            ["gadget", "clock", "--period", "+3"],
+            ["oracle", "NET", "--time", "1_0", "--space", "5", "--energy", "5"],
+            ["verify", "array-search", "--variant", "a", "--max-len", "1", "--max-val", "2",
+             "--seed", "٣"],
+        ],
+    )
+    def test_integers_are_ascii(self, argv, tmp_path, capsys):
+        path = tmp_path / "net.snn"
+        path.write_text(TRIVIAL)
+        code, out, _ = run_cli([str(path) if a == "NET" else a for a in argv], capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestModuleEntry:

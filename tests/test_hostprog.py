@@ -151,6 +151,13 @@ class TestErrors:
         with pytest.raises(HostProgramError, match="unknown bit"):
             host_run("if ghost goto x\nlabel x\naccept\n")
 
+    @pytest.mark.parametrize("caps", ["time=2_0 space=5 energy=5", "time=5 space=١٠ energy=5",
+                                      "time=5 space=5 energy=+8"])
+    def test_caps_are_ascii_integers(self, caps):
+        with pytest.raises(HostProgramError, match="must be an integer"):
+            host_run("let n = compile array-search --variant a --target 0 --bound 2\n"
+                     f"let b = oracle n {caps}\naccept\n")
+
     def test_undefined_flag_value(self):
         with pytest.raises(HostProgramError):
             host_run("let n = compile array-search --variant a --target\naccept\n")

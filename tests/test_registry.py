@@ -57,6 +57,7 @@ FRONT_END_CASES = [
     ("c", ("--array", "1,2", "--size", "2", "--bound", "4"), None),
     ("c", ("--size", "3", "--bound", "4"), None),
     ("c", ("--target", "1", "--bound", "4"), ArrayInstance((), 1, 4)),
+    ("a", ("--array", "1,2", "--target=2", "--bound", "4"), ArrayInstance((1, 2), 2, 4)),
 ]
 
 
@@ -95,6 +96,28 @@ def test_front_ends_reject_alike(flags, message, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert out == ""
+    assert not sidecar.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--variant", "a", "--tar", "2", "--bound", "4"),
+        ("--var", "a", "--target", "2", "--bound", "4"),
+        ("--variant", "a", "--target", "2", "--bound", "٥"),
+        ("--variant", "a", "--target", "2", "--bound", "+4"),
+        ("--variant", "c", "--size", "1_0", "--bound", "4"),
+        ("--variant", "a", "--array", "1,+2", "--target", "2", "--bound", "4"),
+    ],
+)
+def test_front_ends_reject_outside_spellings(flags, tmp_path, capsys):
+    # Abbreviated flags and integers outside ASCII -?[0-9]+ fail in both front ends.
+    with pytest.raises(HostProgramError):
+        build_compiled_network("array-search", flags)
+    sidecar = tmp_path / "net.in"
+    code = main(["compile", "array-search", *flags, "--inputs-out", str(sidecar)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
     assert not sidecar.exists()
 
 
@@ -180,7 +203,10 @@ def test_registered_entry_reaches_every_front_end(tmp_path, capsys):
 
 
 # Numbers stay <= 64 so that no drawn example builds a large network.
-_JUNK = st.sampled_from(["", "x", ",", "1,", "-1", "0", "64", "d", "--bogus", "array-search"])
+_JUNK = st.sampled_from(
+    ["", "x", ",", "1,", "-1", "0", "64", "d", "--bogus", "array-search",
+     "--tar", "--target=1", "٥", "+4", "1_0"]
+)
 
 
 @st.composite

@@ -30,5 +30,8 @@ cdef class Kernel:
     @cython.locals(pos=cython.Py_ssize_t)
     cdef object _next_fire(self, Py_ssize_t k, object after)
 
-    @cython.locals(k=cython.Py_ssize_t, acc=cython.bint, rej=cython.bint)
+    # Only indices and flags get C types: potentials, leak powers and weights
+    # are big integers on the rational path.
+    @cython.locals(k=cython.Py_ssize_t, accept_idx=cython.int, reject_idx=cython.int,
+                   acc=cython.bint, rej=cython.bint)
     cpdef step(self)

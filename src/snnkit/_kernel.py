@@ -13,11 +13,19 @@ was last reset, clamped or zero; it is never reduced, so no step computes a
 gcd. Only `potential_pairs` and `pending_pairs`, which serve inspection,
 divide by L_k (and Q) and reduce.
 
-The step loop is event-driven: a regular neuron is only examined when it can
-possibly change state or fire, i.e. when a delivery arrives, on the step
-after it fired (reset may re-trigger it when reset >= threshold), or always
-when its threshold is zero. Idle decay is applied lazily as leak**dt on the
-next touch, which is exact and order-independent.
+The step loop is event-driven and makes one pass over one map: the slot of
+summed deliveries for step t. A regular neuron can only change state or fire
+when a delivery arrives, on the step after it fired (reset may re-trigger it
+when reset >= threshold), or always when its threshold is zero, and such
+neurons fire every step. Those carried neurons join the slot at weight 0
+when nothing is delivered to them. That is exact: max(0, .) leaves a
+nonnegative potential unchanged, and a zero potential always has Q = 1, so
+the fire test sees the same value. Programmed neurons fire as they come off
+the schedule heap; deliveries into them stay in the slot as pending state
+and the pass skips them. The fired indices are sorted once, after the pass.
+A step with no delivery, no carried neuron and no programmed firing returns
+at once. Idle decay is applied lazily as leak**dt on the next touch, which
+is exact and order-independent.
 """
 
 from heapq import heappop, heappush
@@ -85,78 +93,84 @@ class Kernel:
     def step(self):
         """Run one synchronous step; return the sorted fired indices."""
         t = self.t
+        self.t = t + 1
         inputs = self.bucket.pop(t, None)
-        cand = self.carry
-        self.carry = set()
-        if inputs:
-            cand.update(inputs)
-        due = None
+        carry = self.carry
+        if carry:
+            if inputs is None:
+                inputs = dict.fromkeys(carry, 0)
+            else:
+                for k in carry:
+                    if k not in inputs:
+                        inputs[k] = 0
+            carry.clear()
         heap = self.heap
+        if inputs is None and not (heap and heap[0][0] == t):
+            return []
+        fired = []
         while heap and heap[0][0] == t:
-            _, k = heappop(heap)
-            if due is None:
-                due = set()
-            due.add(k)
+            k = heappop(heap)[1]
+            fired.append(k)
             nxt = self._next_fire(k, t)
             if nxt is not None:
                 heappush(heap, (nxt, k))
-        if due:
-            cand.update(due)
-        self.t = t + 1
-        if not cand:
-            return []
-        fired = []
-        kinds = self.kinds
-        un = self.un
-        ud = self.ud
-        last = self.last
-        for k in sorted(cand):
-            if kinds[k] == 1:
-                if due is not None and k in due:
-                    fired.append(k)
-                continue
-            nu = un[k]
-            du = ud[k]
-            if nu:
-                dt = t - last[k]
-                if dt:
-                    mn = self.mn[k]
-                    if mn == 0:
-                        nu = 0
-                        du = 1
-                    elif mn != self.md[k]:
-                        if mn != 1:
-                            nu *= mn ** dt
-                        du *= self.md[k] ** dt
-            if inputs is not None and k in inputs:
-                nu += inputs[k] * du
+        if inputs is not None:
+            kinds = self.kinds
+            tn = self.tn
+            rn = self.rn
+            mn = self.mn
+            md = self.md
+            un = self.un
+            ud = self.ud
+            last = self.last
+            for k, w in inputs.items():
+                if kinds[k] == 1:
+                    continue
+                nu = un[k]
+                du = ud[k]
+                if nu:
+                    dt = t - last[k]
+                    if dt:
+                        m = mn[k]
+                        if m == 0:
+                            nu = 0
+                            du = 1
+                        elif m != md[k]:
+                            if m != 1:
+                                nu *= m ** dt
+                            du *= md[k] ** dt
+                nu += w * du
                 if nu <= 0:
                     nu = 0
                     du = 1
-            if nu >= self.tn[k] * du:
-                fired.append(k)
-                nu = self.rn[k]
-                du = 1
-                self.carry.add(k)
-            un[k] = nu
-            ud[k] = du
-            last[k] = t
+                if nu >= tn[k] * du:
+                    fired.append(k)
+                    carry.add(k)
+                    nu = rn[k]
+                    du = 1
+                un[k] = nu
+                ud[k] = du
+                last[k] = t
         if fired:
+            fired.sort()
             energy = self.energy
             payload = self.payload_energy
             gadget = self.gadget
+            out = self.out
             bucket = self.bucket
+            accept_idx = self.accept_idx
+            reject_idx = self.reject_idx
             acc = False
             rej = False
             for k in fired:
                 energy += 1
                 if not gadget[k]:
                     payload += 1
-                if k == self.accept_idx:
+                if k == accept_idx:
                     acc = True
-                elif k == self.reject_idx:
+                elif k == reject_idx:
                     rej = True
-                for post, delay, w in self.out[k]:
+                for post, delay, w in out[k]:
                     slot = bucket.get(t + delay)
                     if slot is None:
                         bucket[t + delay] = {post: w}

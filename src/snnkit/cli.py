@@ -12,6 +12,7 @@ Exit codes: 0 accept/success, 1 reject, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +37,26 @@ def _write_network(network, path: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_files_together(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) so that either every file appears or none does.
+
+    Each text goes to a temporary file beside its target; the targets are
+    replaced only after every write has succeeded.
+    """
+    staged = []
+    try:
+        for path, text in files:
+            target = Path(path)
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((temp, target))
+            temp.write_text(text)
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 def _load_network(path: str):
@@ -94,9 +115,15 @@ def _cmd_compile(args) -> int:
     compiled, schedules = harness.compile_from_flags(args.problem, args)
     if schedules and not args.inputs_out:
         raise SystemExit("emitting input schedules needs --inputs-out <file>")
-    _write_network(compiled.network, args.output)
+    network_text = snnfmt.serialize_network(check_network(compiled.network))
+    files = []
     if schedules:
-        Path(args.inputs_out).write_text(snnfmt.serialize_port_bindings(schedules))
+        files.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
+    if args.output != "-":
+        files.append((args.output, network_text))
+    _write_files_together(files)
+    if args.output == "-":
+        sys.stdout.write(network_text)
     return EXIT_ACCEPT
 
 

@@ -202,6 +202,19 @@ class TestCompile:
         assert code == 2
         assert not sidecar.exists()
 
+    @pytest.mark.parametrize("output", ["x.snn", "-"])
+    def test_failed_sidecar_leaves_no_network(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            ["compile", "array-search", "--variant", "b", "--array", "1,2",
+             "--target", "1", "--bound", "4",
+             "--inputs-out", str(tmp_path / "missing" / "side.in"), "--output", output],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_generator_output_accepted_verbatim_by_sim(self, capsys, monkeypatch):
         # Pipeline composability: every generator's output parses untouched.
         for argv in (

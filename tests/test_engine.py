@@ -281,6 +281,67 @@ class TestReportInvariant:
             ResourceReport("accept", 1, 5, 5, 2, 0)
 
 
+def _zero_sum_into_carried():
+    # c has reset >= threshold, so it is carried from step to step; at t=2
+    # it gets +1 and -1 at once, a slot that sums to 0. d is carried at t=2
+    # without a delivery, beside a non-empty slot; g is inhibited net.
+    builder = NetworkBuilder()
+    builder.add_input("s", [0])
+    builder.add_input("a", [1])
+    builder.add_input("b", [1])
+    builder.add_neuron("c", threshold=1, reset=2, leak="1/2")
+    builder.add_neuron("d", threshold=1, reset=1)
+    builder.add_neuron("g", threshold=5)
+    for post in ("c", "d"):
+        builder.add_synapse("s", post)
+    builder.add_synapse("s", "g", weight=3)
+    builder.add_synapse("a", "c")
+    builder.add_synapse("b", "c", weight=-1)
+    builder.add_synapse("a", "g", weight=-2)
+    return builder.build()
+
+
+def _inhibited_zero_threshold():
+    # z fires every step whatever its potential; n integrates z's spikes
+    # and is clamped by i's inhibition every other step.
+    builder = NetworkBuilder()
+    builder.add_input("i", [0, 2, 4])
+    builder.add_neuron("z", threshold=0, reset="1/3", leak="1/2")
+    builder.add_neuron("n", threshold=4)
+    builder.add_synapse("i", "z", weight=-3)
+    builder.add_synapse("z", "n")
+    builder.add_synapse("i", "n", weight=-2, delay=2)
+    return builder.build()
+
+
+def _interleaved_programmed_and_regular():
+    # Sorted ids alternate programmed (a, c, e) and regular (b, d); at t=1
+    # and t=2 both kinds fire together.
+    builder = NetworkBuilder()
+    builder.add_input("a", [0, 2])
+    builder.add_neuron("b")
+    builder.add_input("c", [1, 2])
+    builder.add_neuron("d")
+    builder.add_input("e", [2])
+    builder.add_synapse("a", "b")
+    builder.add_synapse("a", "d")
+    builder.add_synapse("c", "d")
+    return builder.build()
+
+
+def _delivery_into_due_programmed():
+    # q's spike reaches p at t=2, the step p is due; p's self-loop delivers
+    # into it on steps it is not due.
+    builder = NetworkBuilder()
+    builder.add_input("p", [0, 2])
+    builder.add_input("q", [1])
+    builder.add_neuron("r")
+    builder.add_synapse("q", "p", weight=5)
+    builder.add_synapse("p", "p", weight="1/2", delay=3)
+    builder.add_synapse("p", "r")
+    return builder.build()
+
+
 @pytest.mark.usefixtures("kernel_build")
 class TestAgainstReference:
     def test_random_networks_match_brute_force(self):
@@ -294,6 +355,25 @@ class TestAgainstReference:
             assert report.energy_payload == ref.payload_energy, f"seed {seed}"
             got = [(step.t, step.fired) for step in trace.steps]
             assert got == ref.fired_log, f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _zero_sum_into_carried,
+            _inhibited_zero_threshold,
+            _interleaved_programmed_and_regular,
+            _delivery_into_due_programmed,
+        ],
+    )
+    def test_hand_built_networks_match_reference_state(self, build):
+        net = build()
+        ref = simulate_reference(net, 12)
+        fired_at = dict(ref.fired_log)
+        sim = Simulation(net)
+        for t, (potentials, pending) in enumerate(ref.state_log):
+            assert sim.step() == fired_at.get(t, ()), t
+            assert sim.potentials() == potentials, t
+            assert sim.pending() == pending, t
 
     def test_programmed_independence(self):
         # Firing times of programmed neurons equal their schedule regardless

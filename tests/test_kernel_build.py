@@ -39,6 +39,14 @@ def _pxd_declarations():
     return attributes, methods
 
 
+def _pxd_locals():
+    """{method: names} declared by each `@cython.locals(...)` in the `.pxd`."""
+    declared = {}
+    for args, method in re.findall(r"@cython\.locals\(([^)]*)\)\s*cp?def [^(]*?(\w+)\(", KERNEL_PXD):
+        declared[method] = set(re.findall(r"(\w+)\s*=", args))
+    return declared
+
+
 def test_step_computes_no_gcd():
     [step] = [node for node in _kernel_class().body if getattr(node, "name", None) == "step"]
     assert "gcd" not in ast.get_source_segment(KERNEL_PY, step)
@@ -67,3 +75,25 @@ def test_setup_compiles_the_kernel_source():
     assert (ROOT / source).is_file(), source
     assert (ROOT / source).with_suffix(".pxd").is_file(), source
     assert Path(source).with_suffix("").parts[-2:] == tuple(module.split("."))
+
+
+def test_pxd_locals_are_locals_of_their_method():
+    # Cython is not installed everywhere the suite runs, so a declaration of
+    # a name the method no longer binds would only fail where it compiles.
+    methods = {node.name: node for node in _kernel_class().body if isinstance(node, ast.FunctionDef)}
+    declared = _pxd_locals()
+    assert "step" in declared
+    for method, names in declared.items():
+        bound = {
+            node.id
+            for node in ast.walk(methods[method])
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert names <= bound, method
+
+
+def test_pxd_leaves_big_integers_untyped():
+    # Potentials, leak powers and weights are big integers on the rational
+    # path; a C type would overflow them.
+    code = re.sub(r"#.*", "", KERNEL_PXD)
+    assert not {"nu", "du", "w"} & set(re.findall(r"\w+", code))

@@ -20,14 +20,23 @@ value neuron excites reject at the build-time-known step V + 2; in b/c the
 excitation travels i + (V+1) steps while the detector's inhibition travels
 (i+1) + V steps, landing together and cancelling exactly when a match
 occurred. Measured payload spikes stay within n+2 / n+3 / 2n+2 for a/b/c.
+
+The module also registers the three compilers with the harness as
+`array-search-a|b|c`, each with its brute-force reference, its instance
+enumerator and sampler for equivalence sweeps, and the split of an instance
+into compile arguments and port schedules that lets a sweep share one
+compiled structure among instances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from random import Random
+from typing import Iterable, Iterator, Mapping
 
+from .harness import CompilerEntry, Domain, composed_build, register_compiler
 from .model import (
     ExplicitSchedule,
     Network,
@@ -46,6 +55,17 @@ def element_port(j: int) -> str:
     return f"a{j}"
 
 
+def _check_values(bound: int, target: int | None = None, elements: Iterable[int] = ()) -> None:
+    """Raise ValueError unless bound >= 1 and the target and elements lie below it."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if target is not None and not 0 <= target < bound:
+        raise ValueError("target must satisfy 0 <= target < bound")
+    for value in elements:
+        if not 0 <= value < bound:
+            raise ValueError("array elements must satisfy 0 <= element < bound")
+
+
 @dataclass(frozen=True)
 class ArrayInstance:
     """A search instance: elements, target, and the exclusive value bound."""
@@ -56,13 +76,10 @@ class ArrayInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
-        if not 0 <= self.target < self.bound:
-            raise ValueError("target must satisfy 0 <= target < bound")
-        for value in self.elements:
-            if not 0 <= value < self.bound:
-                raise ValueError("array elements must satisfy 0 <= element < bound")
+        _check_values(self.bound, self.target, self.elements)
+
+    def __str__(self) -> str:
+        return f"array={','.join(map(str, self.elements))} target={self.target} bound={self.bound}"
 
     @property
     def size(self) -> int:
@@ -79,10 +96,7 @@ class CompiledSearch:
     """A compiled network with open input ports awaiting spike schedules."""
 
     network: Network
-    variant: str
     input_ports: tuple[str, ...]
-    size: int
-    bound: int
 
     def check_ports(self, schedules: Mapping[str, object]) -> None:
         """Raise ValueError unless `schedules` names exactly the input ports."""
@@ -140,11 +154,7 @@ def compile_search_value_input(
 ) -> CompiledSearch:
     """Variant b: elements embedded, the value arrives on an open port."""
     elements = tuple(elements)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    for value in elements:
-        if not 0 <= value < bound:
-            raise ValueError("array elements must satisfy 0 <= element < bound")
+    _check_values(bound, elements=elements)
     builder = builder if builder is not None else NetworkBuilder()
     for j, value in enumerate(elements):
         builder.add_input(element_port(j), one_shot(value))
@@ -152,13 +162,7 @@ def compile_search_value_input(
     n = len(elements)
     _wire_common(builder, n)
     _wire_delay_invariant_reject(builder, n, bound)
-    return CompiledSearch(
-        network=builder.build(),
-        variant="b",
-        input_ports=(VALUE_PORT,),
-        size=n,
-        bound=bound,
-    )
+    return CompiledSearch(builder.build(), (VALUE_PORT,))
 
 
 def compile_search_full_input(
@@ -167,21 +171,15 @@ def compile_search_full_input(
     """Variant c: only the array length is fixed; everything arrives on ports."""
     if size < 0:
         raise ValueError("size must be >= 0")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_values(bound)
     builder = builder if builder is not None else NetworkBuilder()
     for j in range(size):
         builder.add_input(element_port(j), ExplicitSchedule())
     builder.add_input(VALUE_PORT, ExplicitSchedule())
     _wire_common(builder, size)
     _wire_delay_invariant_reject(builder, size, bound)
-    return CompiledSearch(
-        network=builder.build(),
-        variant="c",
-        input_ports=tuple(element_port(j) for j in range(size)) + (VALUE_PORT,),
-        size=size,
-        bound=bound,
-    )
+    ports = tuple(element_port(j) for j in range(size)) + (VALUE_PORT,)
+    return CompiledSearch(builder.build(), ports)
 
 
 def _wire_delay_invariant_reject(builder: NetworkBuilder, n: int, bound: int) -> None:
@@ -204,19 +202,14 @@ def encode_input(
     if variant == "b":
         if target is None or elements is not None:
             raise ValueError("variant b encodes exactly the target value")
-        if not 0 <= target < bound:
-            raise ValueError("target must satisfy 0 <= target < bound")
+        _check_values(bound, target)
         return {VALUE_PORT: one_shot(target)}
     if variant == "c":
         if target is None or elements is None:
             raise ValueError("variant c encodes the elements and the target value")
-        schedules = {}
-        for j, value in enumerate(elements):
-            if not 0 <= value < bound:
-                raise ValueError("array elements must satisfy 0 <= element < bound")
-            schedules[element_port(j)] = one_shot(value)
-        if not 0 <= target < bound:
-            raise ValueError("target must satisfy 0 <= target < bound")
+        elements = tuple(elements)
+        _check_values(bound, target, elements)
+        schedules = {element_port(j): one_shot(value) for j, value in enumerate(elements)}
         schedules[VALUE_PORT] = one_shot(target)
         return schedules
     raise ValueError(f"no input encoding for variant {variant!r}")
@@ -247,3 +240,84 @@ def expected_reject_step(variant: str, instance: ArrayInstance) -> int:
     if variant == "a":
         return instance.bound + 2
     return instance.target + instance.bound + 1
+
+
+def _enumerate_array_instances(domain: Domain) -> Iterator[ArrayInstance]:
+    values = range(domain.max_val)
+    for length in range(domain.max_len + 1):
+        for elements in itertools.product(values, repeat=length):
+            for target in values:
+                yield ArrayInstance(elements, target, domain.max_val)
+
+
+def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:
+    length = rng.randint(0, domain.random_max_len)
+    bound = domain.random_max_val
+    elements = tuple(rng.randrange(bound) for _ in range(length))
+    return ArrayInstance(elements, rng.randrange(bound), bound)
+
+
+def _array_search_entry(variant: str) -> CompilerEntry:
+    # The compilers and encode_input are looked up as module globals at call
+    # time, so wrappers installed on this module (profilers, tracers) see
+    # every call.
+    if variant == "a":
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
+            return (instance,), {}
+
+        def compile(instance: ArrayInstance, builder: NetworkBuilder) -> CompiledSearch:
+            return CompiledSearch(compile_search_embedded(instance, builder), ())
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            raise ValueError("variant a needs --target")
+    elif variant == "b":
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
+            schedules = encode_input("b", bound=instance.bound, target=instance.target)
+            return (instance.elements, instance.bound), schedules
+
+        def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
+            return compile_search_value_input(elements, bound, builder)
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            return (array, bound)
+    else:
+        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
+            schedules = encode_input(
+                "c", bound=instance.bound, target=instance.target, elements=instance.elements
+            )
+            return (instance.size, instance.bound), schedules
+
+        def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:
+            return compile_search_full_input(size, bound, builder)
+
+        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            return (len(array) if size is None else size, bound)
+
+    def from_flags(
+        array: tuple[int, ...], size: int | None, target: int | None, bound: int
+    ) -> tuple[tuple, Mapping[str, object] | None]:
+        # --size only stands in for --array when neither elements nor a
+        # target are given; otherwise the two must agree.
+        if size is not None and (array or target is not None) and size != len(array):
+            raise ValueError("--size disagrees with --array")
+        if target is None:
+            return unbound(array, size, bound), None
+        return split(ArrayInstance(array, target, bound))
+
+    return CompilerEntry(
+        name=f"array-search-{variant}",
+        size_of=lambda instance: instance.size,
+        build=composed_build(split, compile),
+        reference=contains_target,
+        step_limit=lambda instance: step_limit(variant, instance.bound),
+        enumerate_domain=_enumerate_array_instances,
+        sample=_sample_array_instance,
+        payload_bound=lambda instance: payload_energy_bound(variant, instance.size),
+        split=split,
+        compile=compile,
+        from_flags=from_flags,
+    )
+
+
+for _variant in VARIANTS:
+    register_compiler(_array_search_entry(_variant))

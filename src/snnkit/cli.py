@@ -112,18 +112,19 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    if args.output == args.inputs_out == "-":
+        raise SystemExit("--output and --inputs-out cannot both be standard output")
     compiled, schedules = harness.compile_from_flags(args.problem, args)
     if schedules and not args.inputs_out:
         raise SystemExit("emitting input schedules needs --inputs-out <file>")
-    network_text = snnfmt.serialize_network(check_network(compiled.network))
-    files = []
+    outputs = []
     if schedules:
-        files.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
-    if args.output != "-":
-        files.append((args.output, network_text))
-    _write_files_together(files)
-    if args.output == "-":
-        sys.stdout.write(network_text)
+        outputs.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
+    outputs.append((args.output, snnfmt.serialize_network(check_network(compiled.network))))
+    _write_files_together([(path, text) for path, text in outputs if path != "-"])
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
     return EXIT_ACCEPT
 
 
@@ -164,10 +165,9 @@ def _cmd_verify(args) -> int:
     print(f"bound_violations={len(report.bound_violations)}")
     print(f"inequality_violations={len(report.inequality_violations)}")
     for mismatch in report.mismatches[:20]:
-        inst = mismatch.instance
         print(
-            f"mismatch array={','.join(map(str, inst.elements))} target={inst.target}"
-            f" bound={inst.bound} verdict={mismatch.network_verdict} expected={mismatch.reference}"
+            f"mismatch {mismatch.instance}"
+            f" verdict={mismatch.network_verdict} expected={mismatch.reference}"
         )
     ok = (
         not report.mismatches
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compile a problem instance into a network")
     p.add_argument("problem", choices=sorted(problems))
     p.add_argument("--output", default="-", help="where to write the .snn (default stdout)")
-    p.add_argument("--inputs-out", help="write port schedules here (given a --target)")
+    p.add_argument("--inputs-out", help="write port schedules here, - for stdout (given a --target)")
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("oracle", help="promise-bounded accept/reject query")

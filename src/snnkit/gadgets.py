@@ -43,7 +43,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class Fragment:
-    """A network piece with a named output and optional open input ports.
+    """A network piece with a named output neuron.
 
     Fragments carry no accept/reject designation; `merge` composes them
     (and whole networks) into a runnable network.
@@ -53,7 +53,6 @@ class Fragment:
     programmed: Mapping[str, SpikeSchedule] = field(default_factory=dict)
     synapses: tuple[SynapseSpec, ...] = ()
     output: str = ""
-    ports: tuple[str, ...] = ()
 
     def ids(self) -> frozenset[str]:
         return frozenset(n.id for n in self.neurons) | frozenset(self.programmed)

@@ -6,6 +6,11 @@ TIME/SPACE/ENERGY budgets. The harness meters generation (counting
 elementary builder operations as a stand-in for machine time), runs the
 network, and compares every measured resource against its declared bound.
 
+The harness imports no problem family: each family's module (array search
+in `arraysearch`) registers its own `CompilerEntry` records. The one entry
+defined here, `constant-accept`, is the degenerate generator that shows why
+generation must be metered at all.
+
 `network_halting_oracle` answers the promise question "does this network,
 promised to stay within the given resource caps, accept?". The caller is
 never charged more than the caps imply: simulation is cut off at the time
@@ -24,8 +29,6 @@ from math import floor, lcm
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
-from . import arraysearch
-from .arraysearch import ArrayInstance, CompiledSearch, contains_target, payload_energy_bound
 from .engine import (
     ACCEPT,
     AMBIGUOUS,
@@ -525,83 +528,6 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     )
 
 
-def _enumerate_array_instances(domain: Domain) -> Iterator[ArrayInstance]:
-    values = range(domain.max_val)
-    for length in range(domain.max_len + 1):
-        for elements in itertools.product(values, repeat=length):
-            for target in values:
-                yield ArrayInstance(elements, target, domain.max_val)
-
-
-def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:
-    length = rng.randint(0, domain.random_max_len)
-    bound = domain.random_max_val
-    elements = tuple(rng.randrange(bound) for _ in range(length))
-    return ArrayInstance(elements, rng.randrange(bound), bound)
-
-
-def _array_search_entry(variant: str) -> CompilerEntry:
-    # Compilers and encode_input are looked up on the module at call time,
-    # so wrappers installed there (profilers, tracers) see every call.
-    if variant == "a":
-        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            return (instance,), {}
-
-        def compile(instance: ArrayInstance, builder: NetworkBuilder) -> CompiledSearch:
-            network = arraysearch.compile_search_embedded(instance, builder)
-            return CompiledSearch(network, "a", (), instance.size, instance.bound)
-
-        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
-            raise ValueError("variant a needs --target")
-    elif variant == "b":
-        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            schedules = arraysearch.encode_input("b", bound=instance.bound, target=instance.target)
-            return (instance.elements, instance.bound), schedules
-
-        def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
-            return arraysearch.compile_search_value_input(elements, bound, builder)
-
-        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
-            return (array, bound)
-    else:
-        def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            schedules = arraysearch.encode_input(
-                "c", bound=instance.bound, target=instance.target, elements=instance.elements
-            )
-            return (instance.size, instance.bound), schedules
-
-        def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:
-            return arraysearch.compile_search_full_input(size, bound, builder)
-
-        def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
-            return (len(array) if size is None else size, bound)
-
-    def from_flags(
-        array: tuple[int, ...], size: int | None, target: int | None, bound: int
-    ) -> tuple[tuple, Mapping[str, object] | None]:
-        # --size only stands in for --array when neither elements nor a
-        # target are given; otherwise the two must agree.
-        if size is not None and (array or target is not None) and size != len(array):
-            raise ValueError("--size disagrees with --array")
-        if target is None:
-            return unbound(array, size, bound), None
-        return split(ArrayInstance(array, target, bound))
-
-    return CompilerEntry(
-        name=f"array-search-{variant}",
-        size_of=lambda instance: instance.size,
-        build=composed_build(split, compile),
-        reference=contains_target,
-        step_limit=lambda instance: arraysearch.step_limit(variant, instance.bound),
-        enumerate_domain=_enumerate_array_instances,
-        sample=_sample_array_instance,
-        payload_bound=lambda instance: payload_energy_bound(variant, instance.size),
-        split=split,
-        compile=compile,
-        from_flags=from_flags,
-    )
-
-
 def _constant_accept_entry() -> CompilerEntry:
     # The degenerate generator that maps every instance to the same
     # one-neuron accepting network: constant cost, decides nothing, and the
@@ -620,6 +546,4 @@ def _constant_accept_entry() -> CompilerEntry:
     )
 
 
-for _variant in arraysearch.VARIANTS:
-    register_compiler(_array_search_entry(_variant))
 register_compiler(_constant_accept_entry())

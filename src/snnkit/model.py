@@ -118,15 +118,6 @@ class ExplicitSchedule:
     def fires_at(self, t: int) -> bool:
         return t in self.times
 
-    def first_fire(self) -> int | None:
-        return self.times[0] if self.times else None
-
-    def next_fire(self, after: int) -> int | None:
-        for t in self.times:
-            if t > after:
-                return t
-        return None
-
 
 @dataclass(frozen=True)
 class PeriodicSchedule:
@@ -137,14 +128,6 @@ class PeriodicSchedule:
 
     def fires_at(self, t: int) -> bool:
         return t >= self.offset and (t - self.offset) % self.period == 0
-
-    def first_fire(self) -> int:
-        return self.offset
-
-    def next_fire(self, after: int) -> int:
-        if after < self.offset:
-            return self.offset
-        return after + self.period - (after - self.offset) % self.period
 
 
 SpikeSchedule = Union[ExplicitSchedule, PeriodicSchedule]

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from snnkit import arraysearch
 from snnkit.arraysearch import (
     ArrayInstance,
     compile_search_full_input,
@@ -15,7 +16,14 @@ from snnkit.arraysearch import (
     step_limit,
 )
 from snnkit.engine import RunLimits, run
-from snnkit.harness import get_compiler
+from snnkit.harness import (
+    COMPILE_FLAGS,
+    Domain,
+    compile_from_flags,
+    get_compiler,
+    registered_compilers,
+    verify_equivalence,
+)
 from snnkit.model import NetworkBuilder, one_shot
 
 
@@ -140,6 +148,31 @@ class TestEncodeInput:
             encode_input("c", bound=4, target=0, elements=(4,))
 
 
+BOUND = "bound must be >= 1"
+TARGET = "target must satisfy 0 <= target < bound"
+ELEMENT = "array elements must satisfy 0 <= element < bound"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ArrayInstance((1,), 0, 0), BOUND),
+        (lambda: ArrayInstance((1,), 4, 4), TARGET),
+        (lambda: ArrayInstance((1, -1), 0, 4), ELEMENT),
+        (lambda: compile_search_value_input((1,), 0), BOUND),
+        (lambda: compile_search_value_input((1, 4), 4), ELEMENT),
+        (lambda: compile_search_full_input(2, 0), BOUND),
+        (lambda: encode_input("b", bound=4, target=-1), TARGET),
+        (lambda: encode_input("c", bound=4, target=4, elements=(1,)), TARGET),
+        (lambda: encode_input("c", bound=4, target=0, elements=(1, 4)), ELEMENT),
+    ],
+)
+def test_each_broken_range_rule_names_itself(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
 class TestDuplicates:
     def test_duplicate_elements_never_false_accept(self):
         for variant in ("a", "b", "c"):
@@ -214,3 +247,56 @@ class TestBounds:
         assert payload_energy_bound("a", 3) == 5
         assert payload_energy_bound("b", 3) == 6
         assert payload_energy_bound("c", 3) == 8
+
+
+class TestCallTimeLookup:
+    """The registered entries reach the compilers through the module's globals.
+
+    Wrappers installed on `snnkit.arraysearch` (profilers, tracers) must see
+    every compile and encode call made through the registry.
+    """
+
+    COMPILERS = {
+        "a": "compile_search_embedded",
+        "b": "compile_search_value_input",
+        "c": "compile_search_full_input",
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in (*self.COMPILERS.values(), "encode_input"):
+            def wrapper(*args, _name=name, _original=getattr(arraysearch, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(arraysearch, name, wrapper)
+        return calls
+
+    @staticmethod
+    def _expected(variant):
+        compiler = TestCallTimeLookup.COMPILERS[variant]
+        return [compiler] if variant == "a" else ["encode_input", compiler]
+
+    @pytest.mark.parametrize("variant", ("a", "b", "c"))
+    def test_build(self, calls, variant):
+        get_compiler(f"array-search-{variant}").build(ArrayInstance((1, 2), 2, 4), NetworkBuilder())
+        assert calls == self._expected(variant)
+
+    @pytest.mark.parametrize("variant", ("a", "b", "c"))
+    def test_verify_equivalence(self, calls, variant):
+        report = verify_equivalence(f"array-search-{variant}", Domain(max_len=0, max_val=1))
+        assert report.checked == 1 and not report.mismatches
+        assert calls == self._expected(variant)
+
+    @pytest.mark.parametrize("variant", ("a", "b", "c"))
+    def test_compile_from_flags(self, calls, variant):
+        flags = COMPILE_FLAGS.parse_args(
+            ["--variant", variant, "--array", "1,2", "--target", "2", "--bound", "4"]
+        )
+        compile_from_flags("array-search", flags)
+        assert calls == self._expected(variant)
+
+    def test_every_array_search_entry_is_covered(self):
+        names = {name for name in registered_compilers() if name.startswith("array-search-")}
+        assert names == {f"array-search-{variant}" for variant in self.COMPILERS}

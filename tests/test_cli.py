@@ -1,7 +1,10 @@
 import io
+from dataclasses import replace
 
 import pytest
 
+from snnkit import harness
+from snnkit.arraysearch import ArrayInstance
 from snnkit.cli import main
 from snnkit.snnfmt import parse_network
 
@@ -215,6 +218,31 @@ class TestCompile:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_sidecar_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            ["compile", "array-search", "--variant", "b", "--array", "1,2",
+             "--target", "1", "--bound", "4", "--inputs-out", "-", "--output", "x.snn"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "val=1\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.snn"]
+        parse_network((tmp_path / "x.snn").read_text())
+
+    @pytest.mark.parametrize("target", [(), ("--target", "1")])
+    def test_network_and_sidecar_cannot_share_stdout(self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["compile", "array-search", "--variant", "b", "--array", "1,2", *target,
+             "--bound", "4", "--inputs-out", "-", "--output", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--inputs-out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_generator_output_accepted_verbatim_by_sim(self, capsys, monkeypatch):
         # Pipeline composability: every generator's output parses untouched.
         for argv in (
@@ -310,6 +338,26 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_mismatch_line(self, capsys, monkeypatch):
+        # A compiler that drops the array accepts nothing, so every instance
+        # whose array holds the target is a mismatch.
+        entry = harness.get_compiler("array-search-a")
+
+        def compile_without_array(instance, builder):
+            return entry.compile(ArrayInstance((), instance.target, instance.bound), builder)
+
+        monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+        harness.register_compiler(replace(entry, compile=compile_without_array))
+        code, out, _ = run_cli(
+            ["verify", "array-search", "--variant", "a", "--max-len", "2", "--max-val", "2"],
+            capsys,
+        )
+        assert code == 3
+        lines = out.splitlines()
+        assert "mismatches=8" in lines
+        assert lines[4] == "mismatch array=0 target=0 bound=2 verdict=reject expected=True"
+        assert lines[-1] == "mismatch array=1,1 target=1 bound=2 verdict=reject expected=True"
 
 
 class TestUsage:

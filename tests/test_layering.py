@@ -1,0 +1,50 @@
+"""Which of the package's modules may import which.
+
+`harness` is the generic frame: the metered generator, the oracle, the
+compiler registry and the equivalence sweep. Problem families (array search
+in `arraysearch`) build on it and register their compilers with it, so the
+harness may import the machine layers beneath it but no family. These
+checks read the sources as text and import nothing.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "snnkit"
+
+# The layers beneath the harness: the network model, the engine and the gadgets.
+MACHINE_LAYERS = {"model", "engine", "gadgets", "_kernel"}
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that `module` imports, by their names within the package."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            dotted = [f"snnkit.{node.module or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "snnkit":
+            dotted = [f"snnkit.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [node.module or ""]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in dotted if name.startswith("snnkit."))
+    return imported
+
+
+def test_harness_imports_no_problem_family():
+    assert _package_imports("harness") <= MACHINE_LAYERS
+
+
+def test_array_search_registers_its_own_compilers():
+    tree = ast.parse((PACKAGE / "arraysearch.py").read_text())
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "register_compiler" in called
+    assert "harness" in _package_imports("arraysearch")

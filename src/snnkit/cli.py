@@ -245,13 +245,16 @@ def main(argv=None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return EXIT_USAGE
         return int(exc.code) if exc.code is not None else 0
+    except KeyError as exc:
+        # str() of a KeyError quotes its message; print the message itself.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
     except (
         snnfmt.NetworkFormatError,
         InvalidNetworkError,
         hostprog.HostProgramError,
         engine.NoVerdictNeuronError,
         ValueError,
-        KeyError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

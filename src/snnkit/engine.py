@@ -44,9 +44,9 @@ from .model import (
     InvalidNetworkError,
     Network,
     SpikeSchedule,
-    _check_schedule,
     as_schedule,
     check_network,
+    schedule_violations,
 )
 
 ACCEPT = "accept"
@@ -230,10 +230,9 @@ class Plan:
             if k is None or not self.kinds[k]:
                 raise KeyError(f"no programmed neuron {name!r} to bind")
             sched = as_schedule(value)
-            violations: list[str] = []
-            _check_schedule(name, sched, violations)
-            if violations:
-                raise InvalidNetworkError(violations)
+            reasons = schedule_violations(sched)
+            if reasons:
+                raise InvalidNetworkError(f"input {name}: {reason}" for reason in reasons)
             scheds[k] = _schedule_entry(sched)
             bound[name] = sched
         return replace(self, scheds=tuple(scheds), bindings=bound)

@@ -31,13 +31,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .model import (
-    InvalidNetworkError,
     Network,
+    NetworkBuilder,
     NeuronSpec,
     SpikeSchedule,
     SynapseSpec,
     one_shot,
-    validate_network,
 )
 
 
@@ -54,15 +53,15 @@ class Fragment:
     synapses: tuple[SynapseSpec, ...] = ()
     output: str = ""
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(n.id for n in self.neurons) | frozenset(self.programmed)
-
     def to_network(self) -> Network:
-        return Network(
-            neurons=self.neurons,
-            programmed=dict(self.programmed),
-            synapses=self.synapses,
-        )
+        builder = NetworkBuilder()
+        for spec in self.neurons:
+            builder.add_neuron(spec.id, spec.threshold, spec.reset, spec.leak)
+        for name, sched in self.programmed.items():
+            builder.add_input(name, sched)
+        for syn in self.synapses:
+            builder.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
+        return builder.build(validate=False)
 
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
@@ -144,41 +143,27 @@ def attach_timer(network: Network, t_bound: int) -> Network:
     if network.accept is None:
         raise ValueError("attach_timer needs a network with an accept neuron")
     _require_regular(network, network.accept, "attach_timer")
-    taken = set(network.ids())
+    taken = network.ids()
     timer = fresh_id("timer", taken)
-    taken.add(timer)
-    neurons = list(network.neurons)
-    programmed = dict(network.programmed)
-    synapses = list(network.synapses)
-    tags = set(network.gadget_tags)
-    programmed[timer] = one_shot(0)
-    tags.add(timer)
-    synapses.append(
-        SynapseSpec(
-            timer,
-            network.accept,
-            delay=t_bound + 1,
-            weight=-network.incoming_weight_magnitude(network.accept),
-        )
+    builder = NetworkBuilder()
+    builder.add_network(network)
+    builder.add_input(timer, one_shot(0))
+    builder.tag_gadget(timer)
+    builder.add_synapse(
+        timer, network.accept, t_bound + 1, -network.incoming_weight_magnitude(network.accept)
     )
     reject = network.reject
     if reject is None:
-        reject = fresh_id("rej", taken)
-        neurons.append(NeuronSpec(reject))
-        tags.add(reject)
+        reject = builder.add_neuron(fresh_id("rej", taken | {timer}))
+        builder.tag_gadget(reject)
         kick = Fraction(1)  # default threshold, no other inputs
     else:
         spec = _require_regular(network, reject, "attach_timer")
         kick = spec.threshold + network.incoming_weight_magnitude(reject)
-    synapses.append(SynapseSpec(timer, reject, delay=t_bound + 1, weight=kick))
-    return Network(
-        neurons=tuple(neurons),
-        programmed=programmed,
-        synapses=tuple(synapses),
-        accept=network.accept,
-        reject=reject,
-        gadget_tags=frozenset(tags),
-    )
+    builder.add_synapse(timer, reject, t_bound + 1, kick)
+    builder.set_accept(network.accept)
+    builder.set_reject(reject)
+    return builder.build(validate=False)
 
 
 def attach_meter(network: Network, e_bound: int) -> Network:
@@ -194,40 +179,26 @@ def attach_meter(network: Network, e_bound: int) -> Network:
     if network.accept is None:
         raise ValueError("attach_meter needs a network with an accept neuron")
     _require_regular(network, network.accept, "attach_meter")
-    if network.reject is not None:
-        _require_regular(network, network.reject, "attach_meter")
-    taken = set(network.ids())
-    meter = fresh_id("meter", taken)
+    reject = network.reject
+    reject_spec = None if reject is None else _require_regular(network, reject, "attach_meter")
+    ids = network.ids()
+    meter = fresh_id("meter", ids)
     bound = Fraction(e_bound)
-    neurons = list(network.neurons)
-    neurons.append(NeuronSpec(meter, threshold=bound, reset=bound, leak=Fraction(1)))
-    synapses = list(network.synapses)
-    for name in sorted(network.payload_ids()):
-        synapses.append(SynapseSpec(name, meter))
-    synapses.append(
-        SynapseSpec(
-            meter,
-            network.accept,
-            weight=-network.incoming_weight_magnitude(network.accept),
-        )
+    builder = NetworkBuilder()
+    builder.add_network(network)
+    builder.add_neuron(meter, threshold=bound, reset=bound)
+    builder.tag_gadget(meter)
+    for name in ids - network.gadget_tags:
+        builder.add_synapse(name, meter)
+    builder.add_synapse(
+        meter, network.accept, weight=-network.incoming_weight_magnitude(network.accept)
     )
-    if network.reject is not None:
-        spec = network.neuron(network.reject)
-        synapses.append(
-            SynapseSpec(
-                meter,
-                network.reject,
-                weight=spec.threshold + network.incoming_weight_magnitude(network.reject),
-            )
-        )
-    return Network(
-        neurons=tuple(neurons),
-        programmed=dict(network.programmed),
-        synapses=tuple(synapses),
-        accept=network.accept,
-        reject=network.reject,
-        gadget_tags=network.gadget_tags | {meter},
-    )
+    if reject_spec is not None:
+        kick = reject_spec.threshold + network.incoming_weight_magnitude(reject)
+        builder.add_synapse(meter, reject, weight=kick)
+    builder.set_accept(network.accept)
+    builder.set_reject(reject)
+    return builder.build(validate=False)
 
 
 def merge(
@@ -243,32 +214,11 @@ def merge(
     designations carried by merged networks are discarded. The result is
     validated, so dangling cross-synapse endpoints are rejected.
     """
-    neurons: list[NeuronSpec] = []
-    programmed: dict[str, SpikeSchedule] = {}
-    synapses: list[SynapseSpec] = []
-    tags: set[str] = set()
-    seen: set[str] = set()
+    builder = NetworkBuilder()
     for part in parts:
-        part_ids = part.ids()
-        overlap = seen & part_ids
-        if overlap:
-            raise ValueError(f"id collision between merged parts: {sorted(overlap)}")
-        seen |= part_ids
-        neurons.extend(part.neurons)
-        programmed.update(part.programmed)
-        synapses.extend(part.synapses)
-        if isinstance(part, Network):
-            tags |= part.gadget_tags
-    synapses.extend(cross_synapses)
-    network = Network(
-        neurons=tuple(neurons),
-        programmed=programmed,
-        synapses=tuple(synapses),
-        accept=accept,
-        reject=reject,
-        gadget_tags=frozenset(tags),
-    )
-    violations = validate_network(network)
-    if violations:
-        raise InvalidNetworkError(violations)
-    return network
+        builder.add_network(part.to_network() if isinstance(part, Fragment) else part)
+    for syn in cross_synapses:
+        builder.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
+    builder.set_accept(accept)
+    builder.set_reject(reject)
+    return builder.build()

@@ -40,7 +40,7 @@ from .engine import (
     run,
 )
 from .gadgets import attach_meter, attach_timer
-from .model import Network, NetworkBuilder, parse_int
+from .model import Network, NetworkBuilder, SpikeSchedule, parse_int
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -165,6 +165,11 @@ class Decision:
     violations: tuple[str, ...]
 
 
+def _scheduled_spikes(sched: SpikeSchedule) -> int:
+    """Spikes a schedule lists: its times, or 1 for a periodic schedule."""
+    return len(sched.times) if hasattr(sched, "times") else 1
+
+
 class CountingBuilder(NetworkBuilder):
     """NetworkBuilder that meters elementary construction operations."""
 
@@ -183,16 +188,23 @@ class CountingBuilder(NetworkBuilder):
         self.ops += 1
         self.neurons_added += 1
         result = super().add_input(name, schedule)
-        sched = self._programmed[name]
-        self.note_scheduled_spikes(
-            len(sched.times) if hasattr(sched, "times") else 1
-        )
+        self.note_scheduled_spikes(_scheduled_spikes(self._programmed[name]))
         return result
 
     def add_synapse(self, pre, post, delay=1, weight=1):
         self.ops += 1
         self.synapses_added += 1
         super().add_synapse(pre, post, delay, weight)
+
+    def add_network(self, network):
+        # Charged as the adds it stands for: one op per neuron, input,
+        # scheduled spike and synapse.
+        super().add_network(network)
+        self.ops += network.size() + len(network.synapses)
+        self.neurons_added += network.size()
+        self.synapses_added += len(network.synapses)
+        for sched in network.programmed.values():
+            self.note_scheduled_spikes(_scheduled_spikes(sched))
 
     def note_scheduled_spikes(self, count: int) -> None:
         self.ops += count
@@ -407,26 +419,22 @@ def network_halting_oracle(
     cost never exceeds the bounds even when the promise is broken. The
     outcome is "accepted"/"rejected" when the run stays inside the caps and
     reaches an unambiguous verdict, "promise_violated" otherwise. Caps that
-    no run can meet (time below 1, energy below 0) answer "promise_violated"
+    no run can meet (time below 1, energy below 0, or a space cap below the
+    network's neuron count, which no run changes) answer "promise_violated"
     without simulating.
     """
     if inputs:
         network = network.bind_schedules(inputs)
     neurons = network.size()
     synapses = len(network.synapses)
-    if caps.time < 1 or caps.energy < 0:
+    if caps.time < 1 or caps.energy < 0 or neurons > caps.space:
         report = ResourceReport(TIMEOUT, 0, 0, 0, neurons, synapses)
         return OracleAnswer(PROMISE_VIOLATED, report)
     report = run(
         network,
         RunLimits(max_steps=caps.time, max_total_spikes=caps.energy),
     ).report
-    violated = (
-        report.verdict in (TIMEOUT, AMBIGUOUS)
-        or neurons > caps.space
-        or report.energy > caps.energy
-    )
-    if violated:
+    if report.verdict in (TIMEOUT, AMBIGUOUS) or report.energy > caps.energy:
         return OracleAnswer(PROMISE_VIOLATED, report)
     return OracleAnswer(ACCEPTED if report.verdict == ACCEPT else REJECTED, report)
 

@@ -222,22 +222,42 @@ class Network:
         return replace(self, programmed=programmed)
 
 
-def _check_schedule(name: str, sched: object, out: list[str]) -> None:
+def neuron_violations(spec: NeuronSpec) -> tuple[str, ...]:
+    """Reasons a regular neuron's threshold, reset and leak break the model; () when none do.
+
+    Each reason names its rule only; callers prefix where it was found.
+    """
+    reasons = ()
+    if spec.threshold.numerator < 0:
+        reasons += ("threshold must be >= 0",)
+    if spec.reset.numerator < 0:
+        reasons += ("reset must be >= 0",)
+    if not 0 <= spec.leak.numerator <= spec.leak.denominator:
+        reasons += ("leak must be in [0, 1]",)
+    return reasons
+
+
+def schedule_violations(sched: object) -> tuple[str, ...]:
+    """Reasons a spike schedule breaks the model's rules; () when none do.
+
+    Each reason names its rule only; callers prefix where it was found.
+    """
     if isinstance(sched, ExplicitSchedule):
-        times = sched.times
-        for t in times:
+        increasing, prev = True, -1
+        for t in sched.times:
             if not isinstance(t, int) or t < 0:
-                out.append(f"input {name}: schedule times must be integers >= 0")
-                return
-        if any(a >= b for a, b in zip(times, times[1:])):
-            out.append(f"input {name}: schedule times must be strictly increasing")
-    elif isinstance(sched, PeriodicSchedule):
-        if not isinstance(sched.offset, int) or sched.offset < 0:
-            out.append(f"input {name}: offset must be an integer >= 0")
-        if not isinstance(sched.period, int) or sched.period < 1:
-            out.append(f"input {name}: period must be an integer >= 1")
-    else:
-        out.append(f"input {name}: not a spike schedule")
+                return ("schedule times must be integers >= 0",)
+            increasing = increasing and t > prev
+            prev = t
+        return () if increasing else ("schedule times must be strictly increasing",)
+    if not isinstance(sched, PeriodicSchedule):
+        return ("not a spike schedule",)
+    reasons = ()
+    if not isinstance(sched.offset, int) or sched.offset < 0:
+        reasons += ("offset must be an integer >= 0",)
+    if not isinstance(sched.period, int) or sched.period < 1:
+        reasons += ("period must be an integer >= 1",)
+    return reasons
 
 
 def validate_network(network: Network) -> list[str]:
@@ -255,13 +275,8 @@ def validate_network(network: Network) -> list[str]:
         if spec.id in seen:
             out.append(f"duplicate id {spec.id!r}")
         seen.add(spec.id)
-        if spec.threshold.numerator < 0:
-            out.append(f"neuron {spec.id}: threshold must be >= 0")
-        if spec.reset.numerator < 0:
-            out.append(f"neuron {spec.id}: reset must be >= 0")
-        p, q = spec.leak.as_integer_ratio()
-        if not 0 <= p <= q:
-            out.append(f"neuron {spec.id}: leak must be in [0, 1]")
+        for reason in neuron_violations(spec):
+            out.append(f"neuron {spec.id}: {reason}")
     for name, sched in network.programmed.items():
         if not is_valid_id(name):
             out.append(f"invalid neuron id {name!r}")
@@ -269,7 +284,8 @@ def validate_network(network: Network) -> list[str]:
         if name in seen:
             out.append(f"duplicate id {name!r}")
         seen.add(name)
-        _check_schedule(name, sched, out)
+        for reason in schedule_violations(sched):
+            out.append(f"input {name}: {reason}")
     for syn in network.synapses:
         bad_delay = not isinstance(syn.delay, int) or syn.delay < 1
         if not bad_delay and syn.pre in seen and syn.post in seen:
@@ -303,8 +319,10 @@ def check_network(network: Network) -> Network:
 class NetworkBuilder:
     """Incremental network construction with duplicate-id detection.
 
-    `build()` validates the assembled network and raises on any violation,
-    so networks produced through the builder are always well-formed.
+    Whole networks go in through `add_network`, which is how the gadgets
+    compose. `build()` validates the assembled network and raises on any
+    violation, so networks produced through the builder are always
+    well-formed.
     """
 
     def __init__(self):
@@ -347,6 +365,22 @@ class NetworkBuilder:
         weight: object = DEFAULT_WEIGHT,
     ) -> None:
         self._synapses.append(SynapseSpec(pre, post, delay, weight))
+
+    def add_network(self, network: Network) -> None:
+        """Add a network's neurons, inputs, synapses and gadget tags, not its designations.
+
+        Raises ValueError, adding nothing, when one of its ids is taken.
+        """
+        names = [spec.id for spec in network.neurons]
+        names.extend(network.programmed)
+        taken = self._ids.intersection(names)
+        if taken:
+            raise ValueError(f"id collision between merged parts: {sorted(taken)}")
+        self._neurons.extend(network.neurons)
+        self._programmed.update(network.programmed)
+        self._ids.update(names)
+        self._synapses.extend(network.synapses)
+        self._gadget_tags.update(network.gadget_tags)
 
     def set_accept(self, name: str) -> None:
         self._accept = name

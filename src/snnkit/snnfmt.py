@@ -40,12 +40,15 @@ from .model import (
     SynapseSpec,
     format_rational,
     is_valid_id,
+    neuron_violations,
     parse_int,
     parse_rational,
+    schedule_violations,
     validate_network,
 )
 
 HEADER = "snn 1"
+_NEURON_DEFAULTS = (("threshold", DEFAULT_THRESHOLD), ("reset", DEFAULT_RESET), ("leak", DEFAULT_LEAK))
 
 
 class NetworkFormatError(ValueError):
@@ -94,14 +97,15 @@ def _parse_times(value, lineno, errors):
         t = _parse_int(piece, "schedule time", lineno, errors)
         if t is None:
             return None
-        if t < 0:
-            errors.append(f"line {lineno}: schedule times must be >= 0")
-            return None
         times.append(t)
-    if any(a >= b for a, b in zip(times, times[1:])):
-        errors.append(f"line {lineno}: schedule times must be strictly increasing")
-        return None
     return tuple(times)
+
+
+def _schedule_ok(sched, lineno, errors):
+    """Note each model rule the schedule breaks; True when it breaks none."""
+    reasons = schedule_violations(sched)
+    errors.extend(f"line {lineno}: {reason}" for reason in reasons)
+    return not reasons
 
 
 class _Parser:
@@ -158,29 +162,14 @@ class _Parser:
         if not self.declare(name, lineno):
             return
         attrs = _split_attrs(rest[1:], lineno, self.errors, ("threshold", "reset", "leak"))
-        threshold = reset = leak = None
-        if "threshold" in attrs:
-            threshold = _parse_rat(attrs["threshold"], "threshold", lineno, self.errors)
-            if threshold is not None and threshold.numerator < 0:
-                self.err(lineno, "threshold must be >= 0")
-        if "reset" in attrs:
-            reset = _parse_rat(attrs["reset"], "reset", lineno, self.errors)
-            if reset is not None and reset.numerator < 0:
-                self.err(lineno, "reset must be >= 0")
-        if "leak" in attrs:
-            leak = _parse_rat(attrs["leak"], "leak", lineno, self.errors)
-            if leak is not None:
-                p, q = leak.as_integer_ratio()
-                if not 0 <= p <= q:
-                    self.err(lineno, "leak must be in [0, 1]")
-        self.neurons.append(
-            NeuronSpec(
-                name,
-                threshold if threshold is not None else DEFAULT_THRESHOLD,
-                reset if reset is not None else DEFAULT_RESET,
-                leak if leak is not None else DEFAULT_LEAK,
-            )
-        )
+        params = []
+        for key, default in _NEURON_DEFAULTS:
+            value = _parse_rat(attrs[key], key, lineno, self.errors) if key in attrs else None
+            params.append(default if value is None else value)
+        spec = NeuronSpec(name, *params)
+        for reason in neuron_violations(spec):
+            self.err(lineno, reason)
+        self.neurons.append(spec)
 
     def _kw_input(self, lineno, rest):
         if not rest:
@@ -198,21 +187,18 @@ class _Parser:
             period = _parse_int(attrs["period"], "period", lineno, self.errors)
             if offset is None or period is None:
                 return
-            if offset < 0:
-                self.err(lineno, "offset must be >= 0")
+            sched = PeriodicSchedule(offset, period)
+        else:
+            attrs = _split_attrs(rest[1:], lineno, self.errors, ("schedule",))
+            if "schedule" not in attrs:
+                self.err(lineno, "input needs schedule= or periodic")
                 return
-            if period < 1:
-                self.err(lineno, "period must be >= 1")
+            times = _parse_times(attrs["schedule"], lineno, self.errors)
+            if times is None:
                 return
-            self.programmed[name] = PeriodicSchedule(offset, period)
-            return
-        attrs = _split_attrs(rest[1:], lineno, self.errors, ("schedule",))
-        if "schedule" not in attrs:
-            self.err(lineno, "input needs schedule= or periodic")
-            return
-        times = _parse_times(attrs["schedule"], lineno, self.errors)
-        if times is not None:
-            self.programmed[name] = ExplicitSchedule(times)
+            sched = ExplicitSchedule(times)
+        if _schedule_ok(sched, lineno, self.errors):
+            self.programmed[name] = sched
 
     def _kw_synapse(self, lineno, rest):
         if len(rest) < 3 or rest[1] != "->":
@@ -364,18 +350,17 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
                 errors.append(f"line {lineno}: periodic schedule is periodic:<offset>:<period>")
                 continue
             try:
-                offset, period = parse_int(pieces[1]), parse_int(pieces[2])
+                sched = PeriodicSchedule(parse_int(pieces[1]), parse_int(pieces[2]))
             except ValueError:
                 errors.append(f"line {lineno}: malformed periodic schedule {value!r}")
                 continue
-            if offset < 0 or period < 1:
-                errors.append(f"line {lineno}: need offset >= 0 and period >= 1")
-                continue
-            bindings[name] = PeriodicSchedule(offset, period)
         else:
             times = _parse_times(value, lineno, errors)
-            if times is not None:
-                bindings[name] = ExplicitSchedule(times)
+            if times is None:
+                continue
+            sched = ExplicitSchedule(times)
+        if _schedule_ok(sched, lineno, errors):
+            bindings[name] = sched
     if errors:
         raise NetworkFormatError(errors)
     return bindings

@@ -86,6 +86,17 @@ class TestSim:
         assert code == 0
         assert "verdict=accept time=4" in out
 
+    @pytest.mark.parametrize("command", [["sim"], ["oracle", "--time", "5", "--space", "5", "--energy", "5"]])
+    def test_unknown_port_message_is_unquoted(self, tmp_path, capsys, command):
+        net = tmp_path / "net.snn"
+        net.write_text(TRIVIAL)
+        inputs = tmp_path / "net.in"
+        inputs.write_text("zz=2\n")
+        argv = [command[0], str(net), *command[1:], "--inputs", str(inputs)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == "error: no programmed neuron 'zz' to bind\n"
+
 
 class TestGadget:
     def test_clock_emits_valid_snn(self, capsys):

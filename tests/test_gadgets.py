@@ -1,5 +1,9 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from snnkit import arraysearch
 from snnkit.engine import RunLimits, Simulation, run
 from snnkit.gadgets import (
     attach_meter,
@@ -10,8 +14,10 @@ from snnkit.gadgets import (
     make_number,
     merge,
 )
+from snnkit.harness import Domain, get_compiler
 from snnkit.model import NetworkBuilder, SynapseSpec
 from snnkit.randnet import random_network
+from snnkit.snnfmt import serialize_network
 
 
 def _fire_times(network, name, steps):
@@ -365,3 +371,37 @@ def test_number_uses_shared_clock_phase():
     frag = make_number(1, 4, "n")
     times, _ = _fire_times(frag.to_network(), "n_clk_out", 14)
     assert times == [1, 5, 9, 13]
+
+
+def _pinned_sources():
+    """Every array-search network of Domain(2, 4), then random networks with and without reject."""
+    domain = Domain(max_len=2, max_val=4)
+    for variant in arraysearch.VARIANTS:
+        entry = get_compiler(f"array-search-{variant}")
+        for instance in entry.enumerate_domain(domain):
+            yield entry.build(instance, NetworkBuilder())
+    for seed in range(40):
+        net = random_network(seed)
+        yield net
+        yield replace(net, reject=None)
+
+
+def test_guards_and_merge_build_pinned_networks():
+    # The exact structure the guards and merge build: serialized bytes of
+    # every result, hashed in order. Behavioural tests above only pin firing.
+    digest = hashlib.sha256()
+    count = 0
+    for k, net in enumerate(_pinned_sources()):
+        t_bound, e_bound = k % 7, 1 + k % 5
+        timed = attach_timer(net, t_bound)
+        merged = merge(
+            [timed, make_number(k % 3, 3, "mnum"), make_constant_firer("mc")],
+            cross_synapses=[SynapseSpec("mnum_out", net.accept, delay=2, weight=-1)],
+            accept=net.accept,
+            reject=timed.reject,
+        )
+        for built in (timed, attach_meter(net, e_bound), attach_meter(timed, e_bound), merged):
+            digest.update(serialize_network(built).encode())
+        count += 1
+    assert count == 3 * 84 + 80
+    assert digest.hexdigest() == "7788bb3b705896789316c1100eb6534dde2a9b0942f51181b5f4b7f0bff2c0c5"

@@ -212,6 +212,18 @@ class TestOracle:
         assert answer.outcome == PROMISE_VIOLATED
         assert (answer.report.time, answer.report.energy) == (0, 0)
 
+    def test_unmeetable_space_cap_is_violated_without_a_run(self):
+        # SPACE is static: a network larger than its space cap never keeps
+        # the promise, however long it would run.
+        builder = NetworkBuilder()
+        builder.add_input("acc", [0])
+        builder.add_input("other", [0])
+        builder.set_accept("acc")
+        answer = network_halting_oracle(builder.build(), _caps(50, 1, 50))
+        assert answer.outcome == PROMISE_VIOLATED
+        assert (answer.report.time, answer.report.energy) == (0, 0)
+        assert answer.report.neurons == 2
+
     def test_space_violation(self, trivial_accept_network):
         answer = network_halting_oracle(trivial_accept_network, _caps(2, 0, 2))
         assert answer.outcome == PROMISE_VIOLATED
@@ -422,3 +434,20 @@ class TestCountingBuilder:
         # 3 declarations + 3 scheduled spikes + 1 synapse
         assert cost.builder_ops == 7
         assert cost.builder_ops >= cost.peak_neurons + cost.peak_synapses
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_add_network_costs_what_its_adds_cost(self, seed):
+        network = random_network(seed)
+        whole = CountingBuilder()
+        whole.add_neuron("first")
+        whole.add_network(network)
+        piecewise = CountingBuilder()
+        piecewise.add_neuron("first")
+        for spec in network.neurons:
+            piecewise.add_neuron(spec.id, spec.threshold, spec.reset, spec.leak)
+        for name, sched in network.programmed.items():
+            piecewise.add_input(name, sched)
+        for syn in network.synapses:
+            piecewise.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
+        assert whole.cost() == piecewise.cost()
+        assert whole.build(validate=False) == piecewise.build(validate=False)

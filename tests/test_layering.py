@@ -1,13 +1,16 @@
-"""Which of the package's modules may import which.
+"""Which of the package's modules may import which, and which owns which rule.
 
 `harness` is the generic frame: the metered generator, the oracle, the
 compiler registry and the equivalence sweep. Problem families (array search
 in `arraysearch`) build on it and register their compilers with it, so the
-harness may import the machine layers beneath it but no family. These
-checks read the sources as text and import nothing.
+harness may import the machine layers beneath it but no family. The gadgets
+build their networks through `NetworkBuilder`, and the rules for a
+well-formed neuron and schedule are written once, in `model`. These checks
+read the sources as text and import nothing.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "snnkit"
@@ -48,3 +51,39 @@ def test_array_search_registers_its_own_compilers():
     }
     assert "register_compiler" in called
     assert "harness" in _package_imports("arraysearch")
+
+
+def test_gadgets_build_through_the_builder():
+    tree = ast.parse((PACKAGE / "gadgets.py").read_text())
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "Network" not in called
+    assert not imported & {"validate_network", "InvalidNetworkError", "check_network"}
+
+
+# Each neuron and schedule rule's reason. The synapse delay rule is left
+# out: the parser checks it inline on purpose, as the sparse set-up path.
+RULE_REASONS = (
+    r"threshold must be >= 0",
+    r"reset must be >= 0",
+    r"leak must be in \[0, 1\]",
+    r"schedule times must be",
+    r"offset (must be|>=)",
+    r"(?<!clock )period (must be|>=)",
+)
+
+
+def test_neuron_and_schedule_rules_live_in_model_only():
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        for reason in RULE_REASONS:
+            assert bool(re.search(reason, text)) == (path.stem == "model"), (path.name, reason)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnkit.engine import build_plan
 from snnkit.model import (
     ExplicitSchedule,
+    InvalidNetworkError,
     Network,
     NeuronSpec,
     PeriodicSchedule,
@@ -262,3 +264,27 @@ def test_port_binding_numerals_outside_the_grammar(text, error):
     with pytest.raises(NetworkFormatError) as excinfo:
         parse_port_bindings(text)
     assert excinfo.value.errors == [error]
+
+
+@pytest.mark.parametrize(
+    "schedule, reasons",
+    [
+        (ExplicitSchedule((-1, 4)), ["schedule times must be integers >= 0"]),
+        (ExplicitSchedule((3, 1)), ["schedule times must be strictly increasing"]),
+        (PeriodicSchedule(-1, 2), ["offset must be an integer >= 0"]),
+        (PeriodicSchedule(0, 0), ["period must be an integer >= 1"]),
+        (PeriodicSchedule(-1, 0), ["offset must be an integer >= 0", "period must be an integer >= 1"]),
+    ],
+)
+def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reasons):
+    # The serializers write what they are given, so each form carries the same bad schedule.
+    with pytest.raises(NetworkFormatError) as snn:
+        parse_network(serialize_network(Network(programmed={"p": schedule}, accept="p")))
+    with pytest.raises(NetworkFormatError) as sidecar:
+        parse_port_bindings(serialize_port_bindings({"p": schedule}))
+    plan = build_plan(Network(programmed={"p": ExplicitSchedule(())}, accept="p"))
+    with pytest.raises(InvalidNetworkError) as rebound:
+        plan.with_schedules({"p": schedule})
+    assert snn.value.errors == [f"line 2: {reason}" for reason in reasons]
+    assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
+    assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]

@@ -240,7 +240,7 @@ class Plan:
 
 def build_plan(network: Network) -> Plan:
     """Compile a Network into the flat, integer-scaled form the kernel consumes."""
-    ids = sorted(set(n.id for n in network.neurons) | set(network.programmed))
+    ids = sorted([spec.id for spec in network.neurons] + list(network.programmed))
     index = {name: k for k, name in enumerate(ids)}
     n = len(ids)
     kinds = [0] * n

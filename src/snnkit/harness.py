@@ -25,7 +25,7 @@ import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
@@ -55,8 +55,9 @@ class ResourceBound:
 
     Coefficients are ascending-power polynomial coefficients for the
     constant/linear/polynomial kinds, or the table entries for sizes
-    0, 1, 2, ... (extended by the last entry) for the table kind. All
-    kinds are monotone nondecreasing over natural sizes by construction.
+    0, 1, 2, ... (extended by the last entry) for the table kind. Either
+    way they must be >= 0, so every kind is nonnegative and monotone
+    nondecreasing over natural sizes by construction.
     """
 
     applies_to: str
@@ -72,11 +73,10 @@ class ResourceBound:
         object.__setattr__(self, "coefficients", coefficients)
         if not coefficients:
             raise ValueError("bound needs at least one coefficient")
-        if self.kind == "table":
-            if any(b < a for a, b in zip(coefficients, coefficients[1:])):
-                raise ValueError("table bound must be nondecreasing")
-        elif any(c < 0 for c in coefficients):
+        if any(c < 0 for c in coefficients):
             raise ValueError("bound coefficients must be >= 0")
+        if self.kind == "table" and any(b < a for a, b in zip(coefficients, coefficients[1:])):
+            raise ValueError("table bound must be nondecreasing")
 
     @classmethod
     def constant(cls, value, applies_to: str) -> "ResourceBound":
@@ -95,16 +95,20 @@ class ResourceBound:
         return cls(applies_to, "table", tuple(Fraction(v) for v in values))
 
     def evaluate(self, n: int) -> Fraction:
+        return Fraction(*self._ratio(n))
+
+    def _ratio(self, n: int) -> tuple[int, int]:
+        """The bound at size n as an integer pair (numerator, denominator > 0)."""
         if n < 0:
             raise ValueError("input size must be >= 0")
         if self.kind == "table":
-            return self.coefficients[min(n, len(self.coefficients) - 1)]
+            return self.coefficients[min(n, len(self.coefficients) - 1)].as_integer_ratio()
         ratios = [c.as_integer_ratio() for c in self.coefficients]
         den = lcm(*(q for _, q in ratios))
         total = 0
         for p, q in reversed(ratios):  # Horner's rule over integer numerators
             total = total * n + p * (den // q)
-        return Fraction(total, den)
+        return total, den
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,8 @@ class ResourceBounds:
     energy: ResourceBound
 
     def caps(self, n: int) -> "ResourceCaps":
-        return ResourceCaps(
-            time=floor(self.time.evaluate(n)),
-            space=floor(self.space.evaluate(n)),
-            energy=floor(self.energy.evaluate(n)),
-        )
+        ratios = (bound._ratio(n) for bound in (self.time, self.space, self.energy))
+        return ResourceCaps(*(total // den for total, den in ratios))
 
 
 @dataclass(frozen=True)
@@ -171,49 +172,29 @@ def _scheduled_spikes(sched: SpikeSchedule) -> int:
 
 
 class CountingBuilder(NetworkBuilder):
-    """NetworkBuilder that meters elementary construction operations."""
+    """NetworkBuilder that meters elementary construction operations.
+
+    The charge is read from what the builder holds: one op per neuron,
+    input, scheduled spike and synapse, plus the spikes noted through
+    `note_scheduled_spikes`. The builder never removes anything, so every
+    add that succeeds is charged once and an add that raises costs nothing.
+    """
 
     def __init__(self):
         super().__init__()
-        self.ops = 0
-        self.neurons_added = 0
-        self.synapses_added = 0
-
-    def add_neuron(self, name, threshold=1, reset=0, leak=1):
-        self.ops += 1
-        self.neurons_added += 1
-        return super().add_neuron(name, threshold, reset, leak)
-
-    def add_input(self, name, schedule):
-        self.ops += 1
-        self.neurons_added += 1
-        result = super().add_input(name, schedule)
-        self.note_scheduled_spikes(_scheduled_spikes(self._programmed[name]))
-        return result
-
-    def add_synapse(self, pre, post, delay=1, weight=1):
-        self.ops += 1
-        self.synapses_added += 1
-        super().add_synapse(pre, post, delay, weight)
-
-    def add_network(self, network):
-        # Charged as the adds it stands for: one op per neuron, input,
-        # scheduled spike and synapse.
-        super().add_network(network)
-        self.ops += network.size() + len(network.synapses)
-        self.neurons_added += network.size()
-        self.synapses_added += len(network.synapses)
-        for sched in network.programmed.values():
-            self.note_scheduled_spikes(_scheduled_spikes(sched))
+        self._noted_spikes = 0
 
     def note_scheduled_spikes(self, count: int) -> None:
-        self.ops += count
+        self._noted_spikes += count
 
     def cost(self) -> GeneratorCost:
+        neurons = len(self._neurons) + len(self._programmed)
+        synapses = len(self._synapses)
+        spikes = sum(map(_scheduled_spikes, self._programmed.values()))
         return GeneratorCost(
-            builder_ops=self.ops,
-            peak_neurons=self.neurons_added,
-            peak_synapses=self.synapses_added,
+            builder_ops=neurons + synapses + spikes + self._noted_spikes,
+            peak_neurons=neurons,
+            peak_synapses=synapses,
         )
 
 

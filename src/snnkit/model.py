@@ -85,9 +85,13 @@ class NeuronSpec:
     leak: Fraction = DEFAULT_LEAK
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold", _rat(self.threshold))
-        object.__setattr__(self, "reset", _rat(self.reset))
-        object.__setattr__(self, "leak", _rat(self.leak))
+        # Most specs are built from values that are already Fractions.
+        if type(self.threshold) is not Fraction:
+            object.__setattr__(self, "threshold", _rat(self.threshold))
+        if type(self.reset) is not Fraction:
+            object.__setattr__(self, "reset", _rat(self.reset))
+        if type(self.leak) is not Fraction:
+            object.__setattr__(self, "leak", _rat(self.leak))
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ class SynapseSpec:
     weight: Fraction = DEFAULT_WEIGHT
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _rat(self.weight))
+        if type(self.weight) is not Fraction:
+            object.__setattr__(self, "weight", _rat(self.weight))
 
     def sort_key(self):
         return (self.pre, self.post, self.delay, self.weight)

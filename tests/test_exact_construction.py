@@ -10,6 +10,7 @@ up as a slowdown.
 """
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from snnkit import randnet
 from snnkit.arraysearch import ArrayInstance, compile_search_embedded
 from snnkit.gadgets import attach_meter, attach_timer
-from snnkit.harness import ResourceBound, ResourceBounds
+from snnkit.harness import ResourceBound, ResourceBounds, ResourceCaps
 from snnkit.model import Network, NeuronSpec, SynapseSpec, format_rational, validate_network
 from snnkit.snnfmt import NetworkFormatError, parse_network
 
@@ -73,7 +74,7 @@ BOUND_SHAPES = {
     "constant": st.lists(nonneg_fractions, min_size=1, max_size=1),
     "linear": st.lists(nonneg_fractions, min_size=2, max_size=2),
     "polynomial": st.lists(nonneg_fractions, min_size=1, max_size=5),
-    "table": st.lists(fractions, min_size=1, max_size=6).map(sorted),
+    "table": st.lists(nonneg_fractions, min_size=1, max_size=6).map(sorted),
 }
 
 
@@ -94,6 +95,7 @@ def test_bound_evaluate_matches_fraction_formula(shape, n):
     got = bound.evaluate(n)
     assert type(got) is Fraction
     assert got == want
+    assert ResourceBounds(bound, bound, bound).caps(n) == ResourceCaps(*[floor(got)] * 3)
 
 
 def _neuron_messages(spec):

@@ -1,10 +1,11 @@
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from snnkit.arraysearch import ArrayInstance, compile_search_value_input, encode_input
+from snnkit.arraysearch import VARIANTS, ArrayInstance, compile_search_value_input, encode_input
 from snnkit.engine import RunLimits, run
 from snnkit.gadgets import make_constant_firer, merge
 from snnkit.harness import (
@@ -14,6 +15,7 @@ from snnkit.harness import (
     CompilerEntry,
     CountingBuilder,
     Domain,
+    GeneratorCost,
     Instrument,
     Mismatch,
     MismatchReport,
@@ -60,6 +62,10 @@ class TestResourceBound:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ResourceBound.linear(-1, 0, "time")
+
+    def test_rejects_negative_table_entries(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ResourceBound.table((-3, -1), "time")
 
     def test_rejects_decreasing_table(self):
         with pytest.raises(ValueError):
@@ -451,3 +457,35 @@ class TestCountingBuilder:
             piecewise.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
         assert whole.cost() == piecewise.cost()
         assert whole.build(validate=False) == piecewise.build(validate=False)
+
+    def test_adds_that_raise_cost_nothing(self):
+        builder = CountingBuilder()
+        builder.add_neuron("n")
+        with pytest.raises(ValueError):
+            builder.add_neuron("n")
+        with pytest.raises(TypeError):
+            builder.add_input("p", 5)
+        with pytest.raises(TypeError):
+            builder.add_synapse("n", "n", weight=0.5)
+        assert builder.build().size() == 1
+        assert builder.cost() == GeneratorCost(builder_ops=1, peak_neurons=1, peak_synapses=0)
+
+    def test_array_search_costs_are_pinned(self):
+        # GeneratorCost is a reported resource: hash it for every instance
+        # of Domain(2, 4), built alone and through a metered decide.
+        digest = hashlib.sha256()
+        count = 0
+        instrument = Instrument(timer=True, meter=True)
+        for variant in VARIANTS:
+            entry = get_compiler(f"array-search-{variant}")
+            for instance in entry.enumerate_domain(Domain(max_len=2, max_val=4)):
+                builder = CountingBuilder()
+                entry.build(instance, builder)
+                decision = generate_and_decide(
+                    entry.name, instance, _fig_bounds(instance.bound), instrument
+                )
+                for cost in (builder.cost(), decision.cost):
+                    digest.update(repr(astuple(cost)).encode())
+                count += 1
+        assert count == 3 * 84
+        assert digest.hexdigest() == "289938055d33a1d7f0ca82b069ed76c866b6db41b0a39ca3450bcd3bf1df4b2a"

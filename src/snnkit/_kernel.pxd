@@ -18,17 +18,10 @@ cdef class Kernel:
     cdef tuple scale
     cdef list un, ud
     cdef list last
-    cdef tuple scheds
     cdef tuple out
-    cdef list expl_pos
     cdef set carry
     cdef dict bucket
     cdef list heap
-
-    cdef object _first_fire(self, Py_ssize_t k)
-
-    @cython.locals(pos=cython.Py_ssize_t)
-    cdef object _next_fire(self, Py_ssize_t k, object after)
 
     # Only indices and flags get C types: potentials, leak powers and weights
     # are big integers on the rational path.

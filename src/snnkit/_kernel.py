@@ -21,8 +21,9 @@ neurons fire every step. Those carried neurons join the slot at weight 0
 when nothing is delivered to them. That is exact: max(0, .) leaves a
 nonnegative potential unchanged, and a zero potential always has Q = 1, so
 the fire test sees the same value. Programmed neurons fire as they come off
-the schedule heap; deliveries into them stay in the slot as pending state
-and the pass skips them. The fired indices are sorted once, after the pass.
+one heap of the plan's (time, neuron, period) entries; an entry with a
+period above 0 goes back on at time + period. Deliveries into programmed
+neurons stay in the slot as pending state and the pass skips them. The fired indices are sorted once, after the pass.
 A step with no delivery, no carried neuron and no programmed firing returns
 at once. Idle decay is applied lazily as leak**dt on the next touch, which
 is exact and order-independent.
@@ -51,7 +52,6 @@ class Kernel:
         self.mn = plan.leak_nums
         self.md = plan.leak_dens
         self.scale = plan.scale
-        self.scheds = plan.scheds
         self.out = plan.out
         self.accept_idx = plan.accept_idx
         self.reject_idx = plan.reject_idx
@@ -63,32 +63,10 @@ class Kernel:
         # Zero-threshold neurons fire unconditionally; seed them as candidates.
         self.carry = {k for k in range(n) if kinds[k] == 0 and self.tn[k] == 0}
         self.bucket = {}
-        self.heap = []
-        self.expl_pos = [0] * n
-        for k in range(n):
-            if kinds[k] == 1:
-                first = self._first_fire(k)
-                if first is not None:
-                    heappush(self.heap, (first, k))
+        self.heap = list(plan.spikes)
         self.energy = 0
         self.payload_energy = 0
         self.verdict = VERDICT_NONE
-
-    def _first_fire(self, k):
-        desc = self.scheds[k]
-        if desc[0] == "e":
-            times = desc[1]
-            return times[0] if times else None
-        return desc[1]
-
-    def _next_fire(self, k, after):
-        desc = self.scheds[k]
-        if desc[0] == "e":
-            times = desc[1]
-            pos = self.expl_pos[k] + 1
-            self.expl_pos[k] = pos
-            return times[pos] if pos < len(times) else None
-        return after + desc[2]
 
     def step(self):
         """Run one synchronous step; return the sorted fired indices."""
@@ -109,11 +87,10 @@ class Kernel:
             return []
         fired = []
         while heap and heap[0][0] == t:
-            k = heappop(heap)[1]
+            _, k, period = heappop(heap)
             fired.append(k)
-            nxt = self._next_fire(k, t)
-            if nxt is not None:
-                heappush(heap, (nxt, k))
+            if period:
+                heappush(heap, (t + period, k, period))
         if inputs is not None:
             kinds = self.kinds
             tn = self.tn

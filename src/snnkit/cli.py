@@ -111,14 +111,22 @@ def _cmd_gadget(args) -> int:
     return EXIT_ACCEPT
 
 
+def _same_destination(a: str, b: str) -> bool:
+    if "-" in (a, b):
+        return a == b
+    return Path(a).resolve() == Path(b).resolve()
+
+
 def _cmd_compile(args) -> int:
-    if args.output == args.inputs_out == "-":
-        raise SystemExit("--output and --inputs-out cannot both be standard output")
+    if args.inputs_out is not None and _same_destination(args.output, args.inputs_out):
+        raise SystemExit("--output and --inputs-out must name different destinations")
     compiled, schedules = harness.compile_from_flags(args.problem, args)
+    if args.inputs_out is not None and schedules is None:
+        raise SystemExit("--inputs-out needs --target")
     if schedules and not args.inputs_out:
         raise SystemExit("emitting input schedules needs --inputs-out <file>")
     outputs = []
-    if schedules:
+    if args.inputs_out is not None:
         outputs.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
     outputs.append((args.output, snnfmt.serialize_network(check_network(compiled.network))))
     _write_files_together([(path, text) for path, text in outputs if path != "-"])

@@ -39,15 +39,7 @@ from typing import Mapping, NamedTuple
 
 from . import _kernel
 from ._kernel import Kernel
-from .model import (
-    ExplicitSchedule,
-    InvalidNetworkError,
-    Network,
-    SpikeSchedule,
-    as_schedule,
-    check_network,
-    schedule_violations,
-)
+from .model import ExplicitSchedule, Network, SpikeSchedule, check_network, checked_bindings
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -164,10 +156,11 @@ def membrane_update(
     return v, False
 
 
-def _schedule_entry(sched: SpikeSchedule) -> tuple:
+def _schedule_entries(k: int, sched: SpikeSchedule) -> list[tuple[int, int, int]]:
+    """Neuron k's schedule as (time, k, period) entries; period 0 fires once."""
     if isinstance(sched, ExplicitSchedule):
-        return ("e", tuple(sched.times))
-    return ("p", sched.offset, sched.period)
+        return [(t, k, 0) for t in sched.times]
+    return [(sched.offset, k, sched.period)]
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,11 @@ class Plan:
     (programmed neurons included, since deliveries to them are pending state
     too). `thresholds` and `resets` hold threshold*L and reset*L, and
     `leak_nums`/`leak_dens` the leak's numerator and denominator, all ints;
-    a programmed neuron has 0, 0, 1, 1. `scheds` holds schedule descriptors
-    (None for regular neurons), `out` each neuron's outgoing
+    a programmed neuron has 0, 0, 1, 1. `spikes` lists the programmed
+    spikes as sorted (time, neuron, period) entries: one per listed spike of
+    an explicit schedule, with period 0, and one per periodic schedule, at
+    its offset with its period. Sorted, it is already the heap the kernel
+    pops and equal plans list equal spikes. `out` holds each neuron's outgoing
     (post, delay, weight*L_post) integer triples, `accept_idx`/`reject_idx`
     the verdict neurons (-1 when absent) and `gadget` 1 for gadget neurons.
     The kernel reads these fields by name.
@@ -201,7 +197,7 @@ class Plan:
     leak_nums: tuple[int, ...]
     leak_dens: tuple[int, ...]
     scale: tuple[int, ...]
-    scheds: tuple
+    spikes: tuple[tuple[int, int, int], ...]
     out: tuple
     accept_idx: int
     reject_idx: int
@@ -217,25 +213,18 @@ class Plan:
     def with_schedules(self, bindings: Mapping[str, object]) -> "Plan":
         """This plan with the schedules of the named programmed neurons replaced.
 
-        Like `Network.bind_schedules`, raises KeyError for a name that is
-        not a programmed neuron; a malformed schedule raises
-        InvalidNetworkError with the message `validate_network` gives.
+        Checks the bindings as `Network.bind_schedules` does, with
+        `checked_bindings`.
         """
         if not bindings:
             return self
-        scheds = list(self.scheds)
-        bound = dict(self.bindings)
-        for name, value in bindings.items():
-            k = self.index.get(name)
-            if k is None or not self.kinds[k]:
-                raise KeyError(f"no programmed neuron {name!r} to bind")
-            sched = as_schedule(value)
-            reasons = schedule_violations(sched)
-            if reasons:
-                raise InvalidNetworkError(f"input {name}: {reason}" for reason in reasons)
-            scheds[k] = _schedule_entry(sched)
-            bound[name] = sched
-        return replace(self, scheds=tuple(scheds), bindings=bound)
+        checked = checked_bindings(self.source.programmed, bindings)
+        rebound = {self.index[name] for name in checked}
+        spikes = [entry for entry in self.spikes if entry[1] not in rebound]
+        for name, sched in checked.items():
+            spikes += _schedule_entries(self.index[name], sched)
+        spikes.sort()
+        return replace(self, spikes=tuple(spikes), bindings={**self.bindings, **checked})
 
 
 def build_plan(network: Network) -> Plan:
@@ -249,7 +238,7 @@ def build_plan(network: Network) -> Plan:
     leak_nums = [1] * n
     leak_dens = [1] * n
     scale = [1] * n
-    scheds: list[tuple | None] = [None] * n
+    spikes: list[tuple[int, int, int]] = []
     out: list[list[tuple]] = [[] for _ in range(n)]
     for syn in network.synapses:
         den = syn.weight.denominator
@@ -269,7 +258,7 @@ def build_plan(network: Network) -> Plan:
     for name, sched in network.programmed.items():
         k = index[name]
         kinds[k] = 1
-        scheds[k] = _schedule_entry(sched)
+        spikes += _schedule_entries(k, sched)
     for syn in network.synapses:
         post = index[syn.post]
         num, den = syn.weight.as_integer_ratio()
@@ -283,7 +272,7 @@ def build_plan(network: Network) -> Plan:
         leak_nums=tuple(leak_nums),
         leak_dens=tuple(leak_dens),
         scale=tuple(scale),
-        scheds=tuple(scheds),
+        spikes=tuple(sorted(spikes)),
         out=tuple(tuple(entries) for entries in out),
         accept_idx=index[network.accept] if network.accept is not None else -1,
         reject_idx=index[network.reject] if network.reject is not None else -1,

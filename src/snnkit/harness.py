@@ -40,7 +40,7 @@ from .engine import (
     run,
 )
 from .gadgets import attach_meter, attach_timer
-from .model import Network, NetworkBuilder, SpikeSchedule, parse_int
+from .model import Network, NetworkBuilder, SpikeSchedule, _rat, parse_int
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -57,7 +57,8 @@ class ResourceBound:
     constant/linear/polynomial kinds, or the table entries for sizes
     0, 1, 2, ... (extended by the last entry) for the table kind. Either
     way they must be >= 0, so every kind is nonnegative and monotone
-    nondecreasing over natural sizes by construction.
+    nondecreasing over natural sizes by construction. They are coerced as
+    the builder coerces neuron parameters, so a float raises TypeError.
     """
 
     applies_to: str
@@ -69,7 +70,7 @@ class ResourceBound:
             raise ValueError(f"unknown resource {self.applies_to!r}")
         if self.kind not in _BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        coefficients = tuple(Fraction(c) for c in self.coefficients)
+        coefficients = tuple(map(_rat, self.coefficients))
         object.__setattr__(self, "coefficients", coefficients)
         if not coefficients:
             raise ValueError("bound needs at least one coefficient")
@@ -80,19 +81,19 @@ class ResourceBound:
 
     @classmethod
     def constant(cls, value, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "constant", (Fraction(value),))
+        return cls(applies_to, "constant", (value,))
 
     @classmethod
     def linear(cls, slope, intercept, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "linear", (Fraction(intercept), Fraction(slope)))
+        return cls(applies_to, "linear", (intercept, slope))
 
     @classmethod
     def polynomial(cls, coefficients, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "polynomial", tuple(Fraction(c) for c in coefficients))
+        return cls(applies_to, "polynomial", coefficients)
 
     @classmethod
     def table(cls, values, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "table", tuple(Fraction(v) for v in values))
+        return cls(applies_to, "table", values)
 
     def evaluate(self, n: int) -> Fraction:
         return Fraction(*self._ratio(n))

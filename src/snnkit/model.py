@@ -190,10 +190,6 @@ class Network:
                 return spec
         raise KeyError(name)
 
-    def payload_ids(self) -> frozenset[str]:
-        """Ids of non-instrumentation neurons."""
-        return self.ids() - self.gadget_tags
-
     def size(self) -> int:
         """Network size = neuron count (synapses are reported separately)."""
         return len(self.neurons) + len(self.programmed)
@@ -216,15 +212,11 @@ class Network:
         return Fraction(total, den)
 
     def bind_schedules(self, bindings: Mapping[str, object]) -> "Network":
-        """Replace the schedules of existing programmed neurons."""
+        """Replace the schedules of existing programmed neurons, checked by `checked_bindings`."""
         if not bindings:
             return self
-        programmed = dict(self.programmed)
-        for name, sched in bindings.items():
-            if name not in programmed:
-                raise KeyError(f"no programmed neuron {name!r} to bind")
-            programmed[name] = as_schedule(sched)
-        return replace(self, programmed=programmed)
+        checked = checked_bindings(self.programmed, bindings)
+        return replace(self, programmed={**self.programmed, **checked})
 
 
 def neuron_violations(spec: NeuronSpec) -> tuple[str, ...]:
@@ -263,6 +255,27 @@ def schedule_violations(sched: object) -> tuple[str, ...]:
     if not isinstance(sched.period, int) or sched.period < 1:
         reasons += ("period must be an integer >= 1",)
     return reasons
+
+
+def checked_bindings(
+    programmed: Mapping[str, object], bindings: Mapping[str, object]
+) -> dict[str, SpikeSchedule]:
+    """Each binding as a schedule: the one rule for rebinding programmed neurons.
+
+    Raises KeyError for a name that is not in `programmed`, and
+    InvalidNetworkError with the messages `validate_network` gives for a
+    malformed schedule.
+    """
+    checked = {}
+    for name, value in bindings.items():
+        if name not in programmed:
+            raise KeyError(f"no programmed neuron {name!r} to bind")
+        sched = as_schedule(value)
+        reasons = schedule_violations(sched)
+        if reasons:
+            raise InvalidNetworkError(f"input {name}: {reason}" for reason in reasons)
+        checked[name] = sched
+    return checked
 
 
 def validate_network(network: Network) -> list[str]:

@@ -254,6 +254,50 @@ class TestCompile:
         assert "--inputs-out" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sidecar", ["x.snn", "./x.snn", "sub/../x.snn"])
+    def test_network_and_sidecar_cannot_share_a_file(self, tmp_path, capsys, monkeypatch, sidecar):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run_cli(
+            ["compile", "array-search", "--variant", "b", "--array", "1,2", "--target", "1",
+             "--bound", "4", "--output", "x.snn", "--inputs-out", sidecar],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--inputs-out" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    def test_sidecar_without_target_is_a_usage_error(self, tmp_path, capsys, variant):
+        sidecar = tmp_path / "side.in"
+        code, out, err = run_cli(
+            ["compile", "array-search", "--variant", variant, "--array", "1,2", "--bound", "4",
+             "--inputs-out", str(sidecar)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--inputs-out needs --target" in err
+        assert not sidecar.exists()
+
+    def test_portless_variant_writes_an_empty_sidecar(self, tmp_path, capsys):
+        net_path = tmp_path / "a.snn"
+        sidecar = tmp_path / "a.in"
+        code, _, _ = run_cli(
+            ["compile", "array-search", "--variant", "a", "--array", "1,2", "--target", "1",
+             "--bound", "4", "--output", str(net_path), "--inputs-out", str(sidecar)],
+            capsys,
+        )
+        assert code == 0
+        assert sidecar.read_text() == ""
+        code, out, _ = run_cli(
+            ["sim", str(net_path), "--inputs", str(sidecar), "--max-steps", "32"], capsys
+        )
+        assert code == 0
+        assert "verdict=accept" in out
+
     def test_generator_output_accepted_verbatim_by_sim(self, capsys, monkeypatch):
         # Pipeline composability: every generator's output parses untouched.
         for argv in (

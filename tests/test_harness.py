@@ -59,6 +59,20 @@ class TestResourceBound:
         b = ResourceBound.linear(Fraction(1, 2), 1, "time")
         assert b.evaluate(3) == Fraction(5, 2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ResourceBound.linear(0.1, 1, "time"),
+            lambda: ResourceBound.constant(2.0, "space"),
+            lambda: ResourceBound.polynomial([1, 0.5], "time"),
+            lambda: ResourceBound.table([1, 2.5], "energy"),
+            lambda: ResourceBound("time", "linear", (1, 0.25)),
+        ],
+    )
+    def test_rejects_floats_like_the_builder(self, make):
+        with pytest.raises(TypeError, match="exact rational"):
+            make()
+
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ResourceBound.linear(-1, 0, "time")

@@ -66,7 +66,7 @@ def test_pxd_declares_exactly_the_attributes_the_kernel_sets():
 def test_pxd_methods_exist_in_the_kernel():
     defined = {node.name for node in _kernel_class().body if isinstance(node, ast.FunctionDef)}
     _, methods = _pxd_declarations()
-    assert {"_first_fire", "_next_fire", "step"} <= methods <= defined
+    assert {"step"} <= methods <= defined
 
 
 def test_setup_compiles_the_kernel_source():

@@ -6,6 +6,7 @@ array-search compilers and for generated networks checked step by step
 against the brute-force reference simulator.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -24,6 +25,7 @@ from snnkit.model import (
     NeuronSpec,
     PeriodicSchedule,
     SynapseSpec,
+    as_schedule,
     one_shot,
     validate_network,
 )
@@ -106,7 +108,10 @@ class TestWithSchedules:
         net = _two_port_network()
         with pytest.raises(InvalidNetworkError) as planned:
             build_plan(net).with_schedules({"p": schedule})
-        assert planned.value.violations == validate_network(net.bind_schedules({"p": schedule}))
+        with pytest.raises(InvalidNetworkError) as bound:
+            net.bind_schedules({"p": schedule})
+        direct = replace(net, programmed={**net.programmed, "p": as_schedule(schedule)})
+        assert planned.value.violations == bound.value.violations == validate_network(direct)
 
     def test_rejected_binding_leaves_the_plan_unchanged(self):
         net = _two_port_network()

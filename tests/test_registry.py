@@ -24,15 +24,18 @@ from snnkit.snnfmt import parse_network, parse_port_bindings
 
 
 def _cli_network(problem, flags, directory):
-    """Run CLI `compile`; return its exit code and the written network bound with its sidecar."""
+    """Run CLI `compile`; return its exit code and the written network bound with its sidecar.
+
+    A sidecar is asked for only when the flags give a target to bind.
+    """
     out = directory / "net.snn"
     sidecar = directory / "net.in"
     out.unlink(missing_ok=True)
     sidecar.unlink(missing_ok=True)
+    targeted = any(flag.startswith("--target") for flag in flags)
+    sidecar_flags = ["--inputs-out", str(sidecar)] if targeted else []
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(
-            ["compile", problem, *flags, "--output", str(out), "--inputs-out", str(sidecar)]
-        )
+        code = main(["compile", problem, *flags, "--output", str(out), *sidecar_flags])
     if code != 0:
         return code, None
     network = parse_network(out.read_text())

@@ -285,6 +285,9 @@ def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reas
     plan = build_plan(Network(programmed={"p": ExplicitSchedule(())}, accept="p"))
     with pytest.raises(InvalidNetworkError) as rebound:
         plan.with_schedules({"p": schedule})
+    with pytest.raises(InvalidNetworkError) as bound:
+        plan.source.bind_schedules({"p": schedule})
     assert snn.value.errors == [f"line 2: {reason}" for reason in reasons]
     assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
     assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]
+    assert bound.value.violations == rebound.value.violations

@@ -4,34 +4,30 @@ src/snnkit/_kernel.py is the kernel's only source and runs as plain Python.
 Where Cython is installed, it is also compiled in Cython's pure-Python mode,
 with the C types declared in the augmenting src/snnkit/_kernel.pxd, into
 the extension module snnkit._kernel, which shadows the .py on import. A
-missing Cython or a failed compile must not break the install. Set
-SNNKIT_PURE=1 to skip the extension build entirely.
+missing Cython or a failed compile must not break the install.
 """
-
-import os
 
 from setuptools import Extension, setup
 
 ext_modules = []
-if os.environ.get("SNNKIT_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        extension = Extension(
-            "snnkit._kernel",
-            ["src/snnkit/_kernel.py"],
-            extra_compile_args=["-O2"],
-        )
-        extension.optional = True
-        ext_modules = cythonize(
-            [extension],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-            },
-        )
+try:
+    from Cython.Build import cythonize
+except ImportError:
+    pass
+else:
+    extension = Extension(
+        "snnkit._kernel",
+        ["src/snnkit/_kernel.py"],
+        extra_compile_args=["-O2"],
+    )
+    extension.optional = True
+    ext_modules = cythonize(
+        [extension],
+        compiler_directives={
+            "language_level": "3",
+            "boundscheck": False,
+            "wraparound": False,
+        },
+    )
 
 setup(ext_modules=ext_modules)

@@ -21,14 +21,12 @@ from .engine import (
     AMBIGUOUS,
     REJECT,
     TIMEOUT,
-    EngineState,
     NoVerdictNeuronError,
     ResourceReport,
     RunLimits,
     Simulation,
     Trace,
     available_backends,
-    membrane_update,
     render_raster,
     run,
 )
@@ -65,7 +63,6 @@ from .model import (
     NetworkBuilder,
     NeuronSpec,
     PeriodicSchedule,
-    Rational,
     SynapseSpec,
     check_network,
     one_shot,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import engine, gadgets, harness, hostprog, snnfmt
-from .model import InvalidNetworkError, check_network, parse_int
+from .model import check_network, parse_int
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -257,14 +257,9 @@ def main(argv=None) -> int:
         # str() of a KeyError quotes its message; print the message itself.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        snnfmt.NetworkFormatError,
-        InvalidNetworkError,
-        hostprog.HostProgramError,
-        engine.NoVerdictNeuronError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # NetworkFormatError, InvalidNetworkError, HostProgramError and
+        # NoVerdictNeuronError are all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

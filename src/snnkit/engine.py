@@ -123,39 +123,6 @@ def format_report_line(report: ResourceReport) -> str:
     )
 
 
-@dataclass(frozen=True)
-class EngineState:
-    """Snapshot of a simulation between steps."""
-
-    t: int
-    potentials: Mapping[str, Fraction]
-    pending: Mapping[tuple[int, str], Fraction]
-    energy: int
-    energy_payload: int
-    fired_now: tuple[str, ...]
-
-
-def membrane_update(
-    u_prev: Fraction,
-    leak: Fraction,
-    input_sum: Fraction,
-    threshold: Fraction,
-    reset: Fraction,
-) -> tuple[Fraction, bool]:
-    """One neuron-step: leak, integrate, clamp at zero, threshold, reset.
-
-    Returns (next potential, fired). The clamp applies before the threshold
-    comparison; firing resets the potential even when reset >= threshold,
-    which lets such neurons re-trigger themselves every step.
-    """
-    v = leak * u_prev + input_sum
-    if v < 0:
-        v = Fraction(0)
-    if v >= threshold:
-        return reset, True
-    return v, False
-
-
 def _schedule_entries(k: int, sched: SpikeSchedule) -> list[tuple[int, int, int]]:
     """Neuron k's schedule as (time, k, period) entries; period 0 fires once."""
     if isinstance(sched, ExplicitSchedule):
@@ -285,12 +252,13 @@ def build_plan(network: Network) -> Plan:
 class Simulation:
     """Step-level driver around the kernel; exposes exact state for inspection.
 
-    Takes a Network, or a Plan of one. Verdict-neuron designation is only
-    required for `run` (which seeks a decision); fragments and other
-    non-deciding networks can be stepped freely through this class. A
-    simulation is strictly sequential, but separate Simulation instances
-    share no mutable state, so concurrent runs over the same (immutable)
-    network or plan are safe.
+    Takes a Network, or a Plan of one, and validates the network it will
+    step unless `validate` is False; `run` validates only through here.
+    Verdict-neuron designation is only required for `run` (which seeks a
+    decision); fragments and other non-deciding networks can be stepped
+    freely through this class. A simulation is strictly sequential, but
+    separate Simulation instances share no mutable state, so concurrent
+    runs over the same (immutable) network or plan are safe.
     """
 
     def __init__(self, network: Network | Plan, validate: bool = True):
@@ -299,7 +267,6 @@ class Simulation:
         self.plan = network if isinstance(network, Plan) else build_plan(network)
         self.ids = self.plan.ids
         self._kernel = Kernel(self.plan)
-        self._fired_now: tuple[str, ...] = ()
 
     @property
     def network(self) -> Network:
@@ -321,18 +288,13 @@ class Simulation:
     def verdict(self) -> str | None:
         return _VERDICT_NAMES.get(self._kernel.verdict)
 
-    @property
-    def fired_now(self) -> tuple[str, ...]:
-        return self._fired_now
-
     def step(self) -> tuple[str, ...]:
         """Execute one synchronous step; return the fired ids sorted."""
         if self._kernel.verdict:
             raise RuntimeError("verdict already reached; the network has halted")
         fired = self._kernel.step()
         ids = self.ids
-        self._fired_now = tuple([ids[k] for k in fired]) if fired else ()
-        return self._fired_now
+        return tuple([ids[k] for k in fired]) if fired else ()
 
     def potentials(self) -> dict[str, Fraction]:
         pairs = self._kernel.potential_pairs()
@@ -347,16 +309,6 @@ class Simulation:
             (arrival, self.ids[k]): Fraction(pair[0], pair[1])
             for (arrival, k), pair in self._kernel.pending_pairs().items()
         }
-
-    def state(self) -> EngineState:
-        return EngineState(
-            t=self.t,
-            potentials=self.potentials(),
-            pending=self.pending(),
-            energy=self.energy,
-            energy_payload=self.energy_payload,
-            fired_now=self._fired_now,
-        )
 
 
 class RunResult(NamedTuple):
@@ -377,13 +329,10 @@ def run(
     verdict during step 0 reports time 1; hitting max_steps (or exceeding
     max_total_spikes) reports "timeout".
     """
-    if validate:
-        check_network(network.network if isinstance(network, Plan) else network)
-    # Rebinding schedules leaves neurons, synapses and designations as planned.
-    shape = network.source if isinstance(network, Plan) else network
-    if shape.accept is None and shape.reject is None:
+    sim = Simulation(network, validate)
+    plan = sim.plan
+    if plan.accept_idx < 0 and plan.reject_idx < 0:
         raise NoVerdictNeuronError("network designates neither accept nor reject")
-    sim = Simulation(network, validate=False)
     kernel = sim._kernel
     steps: list[TraceStep] = []
     time = limits.max_steps
@@ -405,8 +354,9 @@ def run(
         time=time,
         energy=sim.energy,
         energy_payload=sim.energy_payload,
-        neurons=shape.size(),
-        synapses=len(shape.synapses),
+        # Rebinding schedules leaves neurons and synapses as planned.
+        neurons=plan.source.size(),
+        synapses=len(plan.source.synapses),
     )
     return RunResult(report, Trace(tuple(steps), report) if trace else None)
 

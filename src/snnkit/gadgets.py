@@ -9,7 +9,8 @@ t = 1, 1+K, 1+2K, ...
 
 `attach_timer` and `attach_meter` bolt a hard step deadline / spike budget
 onto an existing decision network. Each adds a single instrumentation
-neuron (tagged as a gadget so its spikes are excluded from payload energy):
+neuron (tagged as a gadget so its spikes are excluded from payload energy),
+wired to the verdict neurons by the same two guard synapses:
 
 * timer: a one-shot programmed neuron whose delayed synapses inhibit accept
   and excite reject at step t_bound + 1, forcing a verdict by then. When the
@@ -76,15 +77,8 @@ def fresh_id(base: str, taken: Iterable[str]) -> str:
 
 
 def make_constant_firer(prefix: str = "const") -> Fragment:
-    """One-shot seed into a self-looping default neuron; output fires at every t >= 1."""
-    seed = f"{prefix}_seed"
-    out = f"{prefix}_out"
-    return Fragment(
-        neurons=(NeuronSpec(out),),
-        programmed={seed: one_shot(0)},
-        synapses=(SynapseSpec(seed, out), SynapseSpec(out, out)),
-        output=out,
-    )
+    """A clock of period 1: its output fires at every t >= 1."""
+    return make_clock(1, prefix)
 
 
 def make_clock(period: int, prefix: str = "clk") -> Fragment:
@@ -121,48 +115,68 @@ def make_number(value: int, period: int, prefix: str = "num") -> Fragment:
     )
 
 
-def _require_regular(network: Network, name: str, gadget: str) -> NeuronSpec:
-    if network.is_programmed(name):
-        raise ValueError(
-            f"{gadget} needs a regular {name!r} verdict neuron; programmed neurons ignore inputs"
-        )
-    return network.neuron(name)
+def _guard_builder(network: Network, gadget: str) -> NetworkBuilder:
+    """A builder holding `network`, whose verdict neurons a guard can drive.
+
+    The network needs an accept neuron, and no verdict neuron may be
+    programmed, since programmed neurons ignore their inputs.
+    """
+    if network.accept is None:
+        raise ValueError(f"{gadget} needs a network with an accept neuron")
+    for name in (network.accept, network.reject):
+        if name in network.programmed:
+            raise ValueError(
+                f"{gadget} needs a regular {name!r} verdict neuron;"
+                " programmed neurons ignore inputs"
+            )
+    builder = NetworkBuilder()
+    builder.add_network(network)
+    return builder
+
+
+def _wire_guard(
+    builder: NetworkBuilder,
+    network: Network,
+    guard: str,
+    delay: int,
+    reject: NeuronSpec | None,
+) -> None:
+    """Synapses by which a spike of `guard` blocks accept and fires reject `delay` steps later.
+
+    The synapse into accept carries -(sum of |w| into accept), cancelling
+    any possible excitation; the one into reject carries reject's threshold
+    plus the sum of |w| into it, guaranteeing a reject spike.
+    """
+    accept = network.accept
+    builder.add_synapse(guard, accept, delay, -network.incoming_weight_magnitude(accept))
+    if reject is not None:
+        kick = reject.threshold + network.incoming_weight_magnitude(reject.id)
+        builder.add_synapse(guard, reject.id, delay, kick)
 
 
 def attach_timer(network: Network, t_bound: int) -> Network:
     """Force a verdict by step t_bound + 1 (inclusive).
 
-    Adds one gadget-tagged one-shot timer neuron. Its delayed synapse into
-    accept carries weight -(sum of |w| into accept), cancelling any possible
-    excitation; the synapse into reject carries the reject threshold plus
-    the sum of |w| into reject, guaranteeing a reject spike. A missing
-    reject neuron is created with default parameters and designated.
+    Adds one gadget-tagged one-shot timer neuron whose guard synapses have
+    delay t_bound + 1. A missing reject neuron is created with default
+    parameters and designated.
     """
     if t_bound < 0:
         raise ValueError("t_bound must be >= 0")
-    if network.accept is None:
-        raise ValueError("attach_timer needs a network with an accept neuron")
-    _require_regular(network, network.accept, "attach_timer")
+    builder = _guard_builder(network, "attach_timer")
     taken = network.ids()
     timer = fresh_id("timer", taken)
-    builder = NetworkBuilder()
-    builder.add_network(network)
     builder.add_input(timer, one_shot(0))
     builder.tag_gadget(timer)
-    builder.add_synapse(
-        timer, network.accept, t_bound + 1, -network.incoming_weight_magnitude(network.accept)
-    )
-    reject = network.reject
-    if reject is None:
-        reject = builder.add_neuron(fresh_id("rej", taken | {timer}))
-        builder.tag_gadget(reject)
-        kick = Fraction(1)  # default threshold, no other inputs
+    if network.reject is None:
+        reject = NeuronSpec(fresh_id("rej", taken | {timer}))
+        builder.add_neuron(reject.id)
+        builder.tag_gadget(reject.id)
     else:
-        spec = _require_regular(network, reject, "attach_timer")
-        kick = spec.threshold + network.incoming_weight_magnitude(reject)
-    builder.add_synapse(timer, reject, t_bound + 1, kick)
+        reject = network.neuron(network.reject)
+    _wire_guard(builder, network, timer, t_bound + 1, reject)
     builder.set_accept(network.accept)
-    builder.set_reject(reject)
+    builder.set_reject(reject.id)
     return builder.build(validate=False)
 
 
@@ -170,34 +184,24 @@ def attach_meter(network: Network, e_bound: int) -> Network:
     """Cut off acceptance once payload spikes reach e_bound.
 
     Adds one gadget-tagged counter neuron fed (delay 1, weight 1) by every
-    pre-existing payload neuron. Instrumentation neurons, including the
-    counter itself and any timer, do not feed the counter: self-counting
-    would corrupt the budget.
+    pre-existing payload neuron, with delay-1 guard synapses. Instrumentation
+    neurons, including the counter itself and any timer, do not feed the
+    counter: self-counting would corrupt the budget.
     """
     if e_bound < 1:
         raise ValueError("e_bound must be >= 1")
-    if network.accept is None:
-        raise ValueError("attach_meter needs a network with an accept neuron")
-    _require_regular(network, network.accept, "attach_meter")
-    reject = network.reject
-    reject_spec = None if reject is None else _require_regular(network, reject, "attach_meter")
+    builder = _guard_builder(network, "attach_meter")
+    reject = None if network.reject is None else network.neuron(network.reject)
     ids = network.ids()
     meter = fresh_id("meter", ids)
     bound = Fraction(e_bound)
-    builder = NetworkBuilder()
-    builder.add_network(network)
     builder.add_neuron(meter, threshold=bound, reset=bound)
     builder.tag_gadget(meter)
     for name in ids - network.gadget_tags:
         builder.add_synapse(name, meter)
-    builder.add_synapse(
-        meter, network.accept, weight=-network.incoming_weight_magnitude(network.accept)
-    )
-    if reject_spec is not None:
-        kick = reject_spec.threshold + network.incoming_weight_magnitude(reject)
-        builder.add_synapse(meter, reject, weight=kick)
+    _wire_guard(builder, network, meter, 1, reject)
     builder.set_accept(network.accept)
-    builder.set_reject(reject)
+    builder.set_reject(network.reject)
     return builder.build(validate=False)
 
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-Rational = Fraction
-
 DEFAULT_THRESHOLD = Fraction(1)
 DEFAULT_RESET = Fraction(0)
 DEFAULT_LEAK = Fraction(1)
@@ -120,9 +118,6 @@ class ExplicitSchedule:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
 
-    def fires_at(self, t: int) -> bool:
-        return t in self.times
-
 
 @dataclass(frozen=True)
 class PeriodicSchedule:
@@ -130,9 +125,6 @@ class PeriodicSchedule:
 
     offset: int
     period: int
-
-    def fires_at(self, t: int) -> bool:
-        return t >= self.offset and (t - self.offset) % self.period == 0
 
 
 SpikeSchedule = Union[ExplicitSchedule, PeriodicSchedule]
@@ -180,9 +172,6 @@ class Network:
 
     def ids(self) -> frozenset[str]:
         return frozenset(n.id for n in self.neurons) | frozenset(self.programmed)
-
-    def is_programmed(self, name: str) -> bool:
-        return name in self.programmed
 
     def neuron(self, name: str) -> NeuronSpec:
         for spec in self.neurons:

@@ -11,7 +11,14 @@ potentials and pending deliveries can be checked once converted back.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from snnkit.model import Network
+from snnkit.model import ExplicitSchedule, Network
+
+
+def fires_at(sched, t: int) -> bool:
+    """Whether a programmed neuron on schedule `sched` fires at step t."""
+    if isinstance(sched, ExplicitSchedule):
+        return t in sched.times
+    return t >= sched.offset and (t - sched.offset) % sched.period == 0
 
 
 @dataclass
@@ -48,7 +55,7 @@ def simulate_reference(network: Network, max_steps: int) -> ReferenceRun:
         fired = []
         for name in all_ids:
             if name in network.programmed:
-                if network.programmed[name].fires_at(t):
+                if fires_at(network.programmed[name], t):
                     fired.append(name)
                 continue
             spec = regular[name]

@@ -6,7 +6,10 @@ import pytest
 from snnkit import harness
 from snnkit.arraysearch import ArrayInstance
 from snnkit.cli import main
-from snnkit.snnfmt import parse_network
+from snnkit.engine import NoVerdictNeuronError
+from snnkit.hostprog import HostProgramError
+from snnkit.model import InvalidNetworkError
+from snnkit.snnfmt import NetworkFormatError, parse_network
 
 TRIVIAL = "snn 1\ninput acc schedule=0\naccept acc\n"
 
@@ -323,6 +326,15 @@ class TestOracle:
         assert code == 0
         assert "outcome=accepted" in out
 
+    def test_rejected_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "net.snn"
+        path.write_text("snn 1\ninput rej schedule=0\nreject rej\n")
+        code, out, _ = run_cli(
+            ["oracle", str(path), "--time", "2", "--space", "2", "--energy", "2"], capsys
+        )
+        assert code == 1
+        assert "outcome=rejected" in out
+
     def test_violation_exit_3(self, tmp_path, capsys):
         path = tmp_path / "net.snn"
         path.write_text("snn 1\nneuron acc\naccept acc\n")
@@ -413,6 +425,12 @@ class TestVerify:
         assert "mismatches=8" in lines
         assert lines[4] == "mismatch array=0 target=0 bound=2 verdict=reject expected=True"
         assert lines[-1] == "mismatch array=1,1 target=1 bound=2 verdict=reject expected=True"
+
+
+def test_library_errors_are_value_errors():
+    # main reports every ValueError as a usage error (exit 2), these included.
+    for error in (NetworkFormatError, InvalidNetworkError, HostProgramError, NoVerdictNeuronError):
+        assert issubclass(error, ValueError)
 
 
 class TestUsage:

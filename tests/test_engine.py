@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snnkit.engine import (
@@ -9,7 +9,6 @@ from snnkit.engine import (
     ResourceReport,
     RunLimits,
     Simulation,
-    membrane_update,
     render_raster,
     run,
 )
@@ -22,32 +21,60 @@ from snnkit.model import (
 )
 from snnkit.randnet import random_network
 
-from reference_engine import simulate_reference
+from reference_engine import fires_at, simulate_reference
 
 F = Fraction
 
 
-class TestMembraneUpdate:
+def _drive(steps, inputs, threshold=1, reset=0, leak=1):
+    """Step neuron n, fed through (delay, weight) synapses by p, which fires at t=0.
+
+    Every step is checked against the reference simulator. Returns n's fire
+    times and its potential after the last step.
+    """
+    builder = NetworkBuilder()
+    builder.add_input("p", [0])
+    builder.add_neuron("n", threshold=threshold, reset=reset, leak=leak)
+    for delay, weight in inputs:
+        builder.add_synapse("p", "n", delay=delay, weight=weight)
+    net = builder.build()
+    ref = simulate_reference(net, steps)
+    fired_at = dict(ref.fired_log)
+    sim = Simulation(net)
+    for t, (potentials, pending) in enumerate(ref.state_log):
+        assert sim.step() == fired_at.get(t, ()), t
+        assert sim.potentials() == potentials, t
+        assert sim.pending() == pending, t
+    fire_times = [t for t, fired in ref.fired_log if "n" in fired]
+    return fire_times, sim.potentials()["n"]
+
+
+def _update(u, leak, s, threshold, reset):
+    """One neuron-step from potential u with input s: p puts u on n at t=1 and adds s at t=2."""
+    return _drive(3, [(1, u), (2, s)], threshold, reset, leak)
+
+
+class TestNeuronRule:
     def test_single_default_spike_fires_default_neuron(self):
-        assert membrane_update(F(0), F(1), F(1), F(1), F(0)) == (F(0), True)
+        assert _update(F(0), F(1), F(1), F(1), F(0)) == ([2], F(0))
 
     def test_leaky_accumulation_reaches_threshold(self):
         # 1/2 * 3/4 + 3/4 = 9/8 >= 1
-        assert membrane_update(F(3, 4), F(1, 2), F(3, 4), F(1), F(0)) == (F(0), True)
+        assert _update(F(3, 4), F(1, 2), F(3, 4), F(1), F(0)) == ([2], F(0))
 
     def test_inhibition_clamps_at_zero(self):
-        assert membrane_update(F(1, 2), F(1), F(-2), F(1), F(0)) == (F(0), False)
+        assert _update(F(1, 2), F(1), F(-2), F(1), F(0)) == ([], F(0))
 
     def test_zero_threshold_always_fires(self):
-        next_u, fired = membrane_update(F(0), F(1), F(0), F(0), F(2))
-        assert fired and next_u == 2
+        # Even while inhibited: the clamped potential 0 reaches threshold 0.
+        assert _drive(6, [(2, F(-5))], threshold=0, reset=2) == ([0, 1, 2, 3, 4, 5], F(2))
 
     def test_reset_above_threshold_is_allowed(self):
-        next_u, fired = membrane_update(F(5), F(1), F(0), F(3), F(7))
-        assert fired and next_u == 7
+        # Input 5 crosses threshold 3 at t=1; reset 7 then re-triggers every step.
+        assert _drive(6, [(1, F(5))], threshold=3, reset=7) == ([1, 2, 3, 4, 5], F(7))
 
     def test_subthreshold_keeps_potential(self):
-        assert membrane_update(F(1, 3), F(1, 2), F(1, 4), F(1), F(0)) == (F(5, 12), False)
+        assert _update(F(1, 3), F(1, 2), F(1, 4), F(1), F(0)) == ([], F(5, 12))
 
     @given(
         u=st.fractions(min_value=0, max_value=10, max_denominator=8),
@@ -58,9 +85,11 @@ class TestMembraneUpdate:
     )
     @settings(max_examples=200, deadline=None)
     def test_clamp_and_threshold_properties(self, u, m, s, t, r):
-        next_u, fired = membrane_update(u, m, s, t, r)
+        assume(u < t)
+        fire_times, next_u = _update(u, m, s, t, r)
         assert next_u >= 0
-        if fired:
+        if fire_times:
+            assert fire_times == [2]
             assert max(F(0), m * u + s) >= t
             assert next_u == r
         else:
@@ -161,13 +190,11 @@ class TestStep:
         with pytest.raises(RuntimeError):
             sim.step()
 
-    def test_state_snapshot(self):
+    def test_counters_after_one_step(self):
         sim = Simulation(_one_shot_network())
-        sim.step()
-        state = sim.state()
-        assert state.t == 1
-        assert state.energy == 1
-        assert state.fired_now == ("p",)
+        assert sim.step() == ("p",)
+        assert (sim.t, sim.energy, sim.energy_payload) == (1, 1, 1)
+        assert sim.verdict is None
 
 
 @pytest.mark.usefixtures("kernel_build")
@@ -383,7 +410,7 @@ class TestAgainstReference:
             _, trace = run(net, RunLimits(50), trace=True)
             horizon = trace.report.time
             for name, sched in net.programmed.items():
-                expected = tuple(t for t in range(horizon) if sched.fires_at(t))
+                expected = tuple(t for t in range(horizon) if fires_at(sched, t))
                 assert trace.fire_times(name) == expected
 
     def test_no_duplicate_ids_within_step(self):

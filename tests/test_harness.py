@@ -128,6 +128,13 @@ class TestGenerateAndDecide:
         assert decision.verdict == "reject"
         assert decision.violations == ("energy",)
 
+    def test_space_bound_violation_flagged_not_fatal(self):
+        instance = ArrayInstance((3, 5, 7), 5, 8)
+        bounds = replace(_fig_bounds(8), space=ResourceBound.linear(1, 2, "space"))  # n + 3 used
+        decision = generate_and_decide("array-search-a", instance, bounds)
+        assert decision.verdict == "accept"
+        assert decision.violations == ("space",)
+
     def test_constant_generator_has_constant_cost(self):
         costs = set()
         for instance in (ArrayInstance((), 0, 1), ArrayInstance((1, 2, 3), 2, 4)):
@@ -435,6 +442,23 @@ class TestVerifyEquivalence:
         # Element spikes alone now reach the threshold: only false accepts.
         assert all(m.network_verdict == "accept" and not m.reference for m in report.mismatches)
         assert report == _per_instance_report("array-search-c-corrupted", domain, seed=0)
+
+    def test_payload_bound_one_too_low_is_reported(self):
+        entry = get_compiler("array-search-a")
+        register_compiler(
+            replace(
+                entry,
+                name="array-search-a-tight",
+                payload_bound=lambda instance: entry.payload_bound(instance) - 1,
+                from_flags=None,
+            )
+        )
+        domain = Domain(max_len=3, max_val=4)
+        assert verify_equivalence("array-search-a", domain).bound_violations == ()
+        report = verify_equivalence("array-search-a-tight", domain)
+        assert report.mismatches == ()
+        assert len(report.bound_violations) > 0
+        assert report == _per_instance_report("array-search-a-tight", domain, seed=0)
 
     def test_registry_lists_array_search(self):
         names = registered_compilers()

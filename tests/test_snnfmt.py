@@ -152,6 +152,12 @@ def test_accept_equals_reject():
     assert any("accept and reject are both 'a'" in e for e in errors)
 
 
+@pytest.mark.parametrize("role", ["accept", "reject"])
+def test_second_designation_is_an_error(role):
+    errors = _errors(f"snn 1\nneuron a\nneuron b\n{role} a\n{role} b\n")
+    assert errors == [f"line 5: duplicate {role} directive"]
+
+
 def test_multiple_errors_each_with_line_numbers():
     text = "snn 1\nneuron a leak=2\nsynapse a -> x delay=0\naccept a\nreject a\n"
     errors = _errors(text)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 DEFAULT_THRESHOLD = Fraction(1)
 DEFAULT_RESET = Fraction(0)
@@ -73,7 +73,7 @@ def _rat(value: object) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeuronSpec:
     """A regular neuron: threshold, reset voltage, and leakage constant."""
 
@@ -92,24 +92,44 @@ class NeuronSpec:
             object.__setattr__(self, "leak", _rat(self.leak))
 
 
-@dataclass(frozen=True)
-class SynapseSpec:
-    """A directed connection with a whole-step delay and a signed weight."""
-
+# A NamedTuple class may not define `__new__`, so the coercing constructor
+# lives in the subclass below.
+class _SynapseFields(NamedTuple):
     pre: str
     post: str
     delay: int = DEFAULT_DELAY
     weight: Fraction = DEFAULT_WEIGHT
 
-    def __post_init__(self):
-        if type(self.weight) is not Fraction:
-            object.__setattr__(self, "weight", _rat(self.weight))
 
-    def sort_key(self):
-        return (self.pre, self.post, self.delay, self.weight)
+class SynapseSpec(_SynapseFields):
+    """A directed connection with a whole-step delay and a signed weight.
+
+    A synapse is the model's 4-tuple `(pre, post, delay, weight)`, so it
+    equals the plain tuple of its fields and sorts by them in that order.
+    Every constructor, `_make` and `_replace` included, coerces the weight to
+    a Fraction.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pre: str,
+        post: str,
+        delay: int = DEFAULT_DELAY,
+        weight: object = DEFAULT_WEIGHT,
+    ):
+        if type(weight) is not Fraction:
+            weight = _rat(weight)
+        return tuple.__new__(cls, (pre, post, delay, weight))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "SynapseSpec":
+        # The inherited `_replace` builds through `_make`, so it coerces too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplicitSchedule:
     """Finite spike train: a strictly increasing sequence of step numbers."""
 
@@ -119,7 +139,7 @@ class ExplicitSchedule:
         object.__setattr__(self, "times", tuple(self.times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicSchedule:
     """Infinite spike train firing at offset, offset+period, offset+2*period, ..."""
 
@@ -164,7 +184,7 @@ class Network:
     def __post_init__(self):
         neurons = tuple(sorted(self.neurons, key=lambda n: n.id))
         programmed = {k: self.programmed[k] for k in sorted(self.programmed)}
-        synapses = tuple(sorted(self.synapses, key=SynapseSpec.sort_key))
+        synapses = tuple(sorted(self.synapses))
         object.__setattr__(self, "neurons", neurons)
         object.__setattr__(self, "programmed", programmed)
         object.__setattr__(self, "synapses", synapses)

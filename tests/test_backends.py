@@ -100,6 +100,8 @@ def test_traces_stable_across_processes():
                 "PYTHONHASHSEED": hashseed,
                 "PATH": "/usr/bin:/bin",
                 "PYTHONPATH": child_path,
+                # The child writes no bytecode into the checkout under test.
+                "PYTHONDONTWRITEBYTECODE": "1",
             },
             cwd="/",
         )

@@ -483,7 +483,12 @@ class TestModuleEntry:
                 [sys.executable, "-m", "snnkit.cli", *argv],
                 capture_output=True,
                 text=True,
-                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": child_path},
+                # The child writes no bytecode into the checkout under test.
+                env={
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": child_path,
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                },
                 cwd=tmp_path,
             )
 

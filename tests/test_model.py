@@ -1,7 +1,11 @@
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnkit.engine import Simulation
 from snnkit.model import (
@@ -76,6 +80,97 @@ def _valid_network():
         accept="a",
         reject="b",
     )
+
+
+# Synapses repeat (pre, post, delay) from a small pool and differ by weight.
+_synapse_groups = st.lists(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.sampled_from("abc"),
+        st.integers(1, 3),
+        st.lists(
+            st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+    ),
+    max_size=8,
+    unique_by=lambda group: group[:3],
+)
+
+
+@settings(deadline=None)
+@given(_synapse_groups, st.randoms(use_true_random=False))
+def test_network_sorts_synapses_by_pre_post_delay_weight(groups, rng):
+    synapses = [
+        SynapseSpec(pre, post, delay, weight)
+        for pre, post, delay, weights in groups
+        for weight in weights
+    ]
+    rng.shuffle(synapses)
+    got = Network(synapses=tuple(synapses)).synapses
+    assert got == tuple(sorted(synapses, key=lambda x: (x.pre, x.post, x.delay, x.weight)))
+    assert all(type(syn) is SynapseSpec for syn in got)
+
+
+def test_synapse_is_the_model_4_tuple():
+    syn = SynapseSpec("a", "b", 2, Fraction(-1, 3))
+    assert isinstance(syn, tuple)
+    assert syn == ("a", "b", 2, Fraction(-1, 3))
+    assert hash(syn) == hash(("a", "b", 2, Fraction(-1, 3)))
+    assert (syn.pre, syn.post, syn.delay, syn.weight) == tuple(syn)
+    assert SynapseSpec("a", "b") == ("a", "b", 1, Fraction(1))
+    assert repr(syn) == "SynapseSpec(pre='a', post='b', delay=2, weight=Fraction(-1, 3))"
+    assert not hasattr(SynapseSpec, "sort_key")
+
+
+_SYNAPSE_CONSTRUCTORS = [
+    lambda w: SynapseSpec("a", "b", 1, w),
+    lambda w: SynapseSpec(pre="a", post="b", weight=w),
+    lambda w: SynapseSpec._make(("a", "b", 1, w)),
+    lambda w: SynapseSpec("a", "b")._replace(weight=w),
+]
+
+
+@pytest.mark.parametrize("make", _SYNAPSE_CONSTRUCTORS)
+@pytest.mark.parametrize("weight, want", [(2, Fraction(2)), ("2/4", Fraction(1, 2))])
+def test_every_synapse_constructor_coerces_the_weight(make, weight, want):
+    syn = make(weight)
+    assert type(syn) is SynapseSpec
+    assert type(syn.weight) is Fraction
+    assert syn.weight == want
+
+
+@pytest.mark.parametrize("make", _SYNAPSE_CONSTRUCTORS)
+def test_every_synapse_constructor_rejects_a_float_weight(make):
+    with pytest.raises(TypeError, match="exact rational"):
+        make(0.5)
+
+
+def test_synapse_fields_cannot_be_assigned():
+    syn = SynapseSpec("a", "b")
+    for name in ("pre", "post", "delay", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(syn, name, 1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        SynapseSpec("a", "b", 3, Fraction(-2, 7)),
+        NeuronSpec("n", Fraction(3, 2), Fraction(1, 4), Fraction(1, 2)),
+        ExplicitSchedule((0, 4, 9)),
+        PeriodicSchedule(2, 5),
+    ],
+)
+def test_model_values_round_trip_and_hold_no_instance_dict(value):
+    # A large network holds one of these per neuron, synapse and input, so
+    # none of them carries a per-instance __dict__.
+    assert not hasattr(value, "__dict__")
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
 
 
 def test_validate_clean_network():

@@ -36,7 +36,13 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
-from .harness import CompilerEntry, Domain, composed_build, register_compiler
+from .harness import (
+    CompiledStructure,
+    CompilerEntry,
+    Domain,
+    composed_build,
+    register_compiler,
+)
 from .model import (
     ExplicitSchedule,
     Network,
@@ -91,26 +97,9 @@ def contains_target(instance: ArrayInstance) -> bool:
     return instance.target in instance.elements
 
 
-@dataclass(frozen=True)
-class CompiledSearch:
-    """A compiled network with open input ports awaiting spike schedules."""
-
-    network: Network
-    input_ports: tuple[str, ...]
-
-    def check_ports(self, schedules: Mapping[str, object]) -> None:
-        """Raise ValueError unless `schedules` names exactly the input ports."""
-        unknown = set(schedules) - set(self.input_ports)
-        if unknown:
-            raise ValueError(f"unknown input ports: {sorted(unknown)}")
-        missing = set(self.input_ports) - set(schedules)
-        if missing:
-            raise ValueError(f"ports left unbound: {sorted(missing)}")
-
-    def bind(self, schedules: Mapping[str, object]) -> Network:
-        """Fill every port with a schedule; arity must match exactly."""
-        self.check_ports(schedules)
-        return self.network.bind_schedules(schedules)
+# The family's name for its compiled structures: the package exports it and
+# perfbench's tracer patches its `bind`.
+CompiledSearch = CompiledStructure
 
 
 def _detector_weight(n: int) -> Fraction:
@@ -296,9 +285,10 @@ def _array_search_entry(variant: str) -> CompilerEntry:
     def from_flags(
         array: tuple[int, ...], size: int | None, target: int | None, bound: int
     ) -> tuple[tuple, Mapping[str, object] | None]:
-        # --size only stands in for --array when neither elements nor a
-        # target are given; otherwise the two must agree.
-        if size is not None and (array or target is not None) and size != len(array):
+        # --size only stands in for variant c's element ports when neither
+        # elements nor a target are given; otherwise it must match --array.
+        stands_in = variant == "c" and not array and target is None
+        if size is not None and size != len(array) and not stands_in:
             raise ValueError("--size disagrees with --array")
         if target is None:
             return unbound(array, size, bound), None

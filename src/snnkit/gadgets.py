@@ -148,10 +148,11 @@ def _wire_guard(
     plus the sum of |w| into it, guaranteeing a reject spike.
     """
     accept = network.accept
-    builder.add_synapse(guard, accept, delay, -network.incoming_weight_magnitude(accept))
+    verdicts = (accept,) if reject is None else (accept, reject.id)
+    magnitude = network.incoming_weight_magnitudes(verdicts)
+    builder.add_synapse(guard, accept, delay, -magnitude[accept])
     if reject is not None:
-        kick = reject.threshold + network.incoming_weight_magnitude(reject.id)
-        builder.add_synapse(guard, reject.id, delay, kick)
+        builder.add_synapse(guard, reject.id, delay, reject.threshold + magnitude[reject.id])
 
 
 def attach_timer(network: Network, t_bound: int) -> Network:

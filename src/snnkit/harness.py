@@ -2,9 +2,13 @@
 
 A problem is decided in this model by a metered generator that maps each
 instance to a network, which then decides the instance within declared
-TIME/SPACE/ENERGY budgets. The harness meters generation (counting
-elementary builder operations as a stand-in for machine time), runs the
+TIME/SPACE/ENERGY budgets. The harness meters generation by the size of the
+network the generator produced (one elementary operation per neuron,
+synapse and scheduled spike, a stand-in for machine time), runs the
 network, and compares every measured resource against its declared bound.
+
+A compiler's `compile` returns a `CompiledStructure`: a network with open
+input ports and the one rule for binding them.
 
 The harness imports no problem family: each family's module (array search
 in `arraysearch`) registers its own `CompilerEntry` records. The one entry
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from random import Random
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .engine import (
     ACCEPT,
@@ -40,7 +44,7 @@ from .engine import (
     run,
 )
 from .gadgets import attach_meter, attach_timer
-from .model import Network, NetworkBuilder, SpikeSchedule, _rat, parse_int
+from .model import ExplicitSchedule, Network, NetworkBuilder, _rat, parse_int
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -114,11 +118,17 @@ class ResourceBound:
 
 @dataclass(frozen=True)
 class ResourceBounds:
-    """Declared TIME/SPACE/ENERGY bound functions."""
+    """Declared TIME/SPACE/ENERGY bound functions, each in the slot it applies to."""
 
     time: ResourceBound
     space: ResourceBound
     energy: ResourceBound
+
+    def __post_init__(self):
+        for slot in ("time", "space", "energy"):
+            applies_to = getattr(self, slot).applies_to
+            if applies_to != slot:
+                raise ValueError(f"{slot} bound is declared for {applies_to}")
 
     def caps(self, n: int) -> "ResourceCaps":
         ratios = (bound._ratio(n) for bound in (self.time, self.space, self.energy))
@@ -141,6 +151,21 @@ class GeneratorCost:
     builder_ops: int
     peak_neurons: int
     peak_synapses: int
+
+    @classmethod
+    def of(cls, network: Network) -> "GeneratorCost":
+        """The cost of generating `network`, read off what it holds.
+
+        A periodic schedule counts as one scheduled spike. A generator never
+        removes what it adds, so this is what its builder calls produced.
+        """
+        neurons = network.size()
+        synapses = len(network.synapses)
+        spikes = sum(
+            len(sched.times) if isinstance(sched, ExplicitSchedule) else 1
+            for sched in network.programmed.values()
+        )
+        return cls(neurons + synapses + spikes, neurons, synapses)
 
 
 @dataclass(frozen=True)
@@ -167,53 +192,31 @@ class Decision:
     violations: tuple[str, ...]
 
 
-def _scheduled_spikes(sched: SpikeSchedule) -> int:
-    """Spikes a schedule lists: its times, or 1 for a periodic schedule."""
-    return len(sched.times) if hasattr(sched, "times") else 1
-
-
-class CountingBuilder(NetworkBuilder):
-    """NetworkBuilder that meters elementary construction operations.
-
-    The charge is read from what the builder holds: one op per neuron,
-    input, scheduled spike and synapse, plus the spikes noted through
-    `note_scheduled_spikes`. The builder never removes anything, so every
-    add that succeeds is charged once and an add that raises costs nothing.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._noted_spikes = 0
-
-    def note_scheduled_spikes(self, count: int) -> None:
-        self._noted_spikes += count
-
-    def cost(self) -> GeneratorCost:
-        neurons = len(self._neurons) + len(self._programmed)
-        synapses = len(self._synapses)
-        spikes = sum(map(_scheduled_spikes, self._programmed.values()))
-        return GeneratorCost(
-            builder_ops=neurons + synapses + spikes + self._noted_spikes,
-            peak_neurons=neurons,
-            peak_synapses=synapses,
-        )
-
-
-class CompiledStructure(Protocol):
+@dataclass(frozen=True)
+class CompiledStructure:
     """What a compiler's `compile` returns: a network with open input ports.
 
-    The harness, the command line and the host language use only these:
-    `network` is the structure with its ports unscheduled, `check_ports`
-    raises ValueError unless the schedules name exactly its ports, and
-    `bind` checks them and returns the network with them scheduled.
+    `network` is the structure with its ports unscheduled. The harness, the
+    command line and the host language bind ports only through
+    `check_ports` and `bind`.
     """
 
-    @property
-    def network(self) -> Network: ...
+    network: Network
+    input_ports: tuple[str, ...]
 
-    def check_ports(self, schedules: Mapping[str, object]) -> None: ...
+    def check_ports(self, schedules: Mapping[str, object]) -> None:
+        """Raise ValueError unless `schedules` names exactly the input ports."""
+        unknown = set(schedules) - set(self.input_ports)
+        if unknown:
+            raise ValueError(f"unknown input ports: {sorted(unknown)}")
+        missing = set(self.input_ports) - set(schedules)
+        if missing:
+            raise ValueError(f"ports left unbound: {sorted(missing)}")
 
-    def bind(self, schedules: Mapping[str, object]) -> Network: ...
+    def bind(self, schedules: Mapping[str, object]) -> Network:
+        """Fill every port with a schedule; arity must match exactly."""
+        self.check_ports(schedules)
+        return self.network.bind_schedules(schedules)
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,9 @@ class CompilerEntry:
     An entry may also declare how its compiler splits in two: `split` maps
     an instance to the arguments of `compile` and the port schedules bound
     into the compiled structure. Instances with equal compile arguments then
-    share one structure, which `verify_equivalence` plans once. Such an
-    entry's `build` is `composed_build(split, compile)`, so it compiles and
-    binds exactly as the sweep does.
+    share one structure, which `verify_equivalence` plans once; the sweep
+    needs both. Such an entry's `build` is `composed_build(split, compile)`,
+    so it compiles and binds exactly as the sweep does.
 
     An entry named `<problem>-<variant>` that declares `from_flags` is
     offered by the command line's `compile` and `verify` and by the host
@@ -253,17 +256,11 @@ def composed_build(
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]],
     compile: Callable[..., CompiledStructure],
 ) -> Callable[[Any, NetworkBuilder], Network]:
-    """The build that compiles an instance's structure and binds its ports.
-
-    A metering builder is charged one operation per bound port.
-    """
+    """The build that compiles an instance's structure and binds its ports."""
 
     def build(instance: Any, builder: NetworkBuilder) -> Network:
         args, schedules = split(instance)
-        compiled = compile(*args, builder)
-        if isinstance(builder, CountingBuilder):
-            builder.note_scheduled_spikes(len(schedules))
-        return compiled.bind(schedules)
+        return compile(*args, builder).bind(schedules)
 
     return build
 
@@ -350,20 +347,21 @@ def generate_and_decide(
     bounds: ResourceBounds,
     instrument: Instrument = Instrument(),
 ) -> Decision:
-    """Metered build, optional timer/meter augmentation, run, bound check.
+    """Build, meter, optionally add a timer/meter guard, run, check the bounds.
 
-    Declared bounds are compared against the payload network's measurements:
-    payload energy (spikes excluding instrumentation), payload neuron count,
-    and executed steps. Violations are reported, never fatal; the timer, when
-    requested, turns a time overrun into an actual reject verdict.
+    The generator's cost is `GeneratorCost.of` the network it built, before
+    any guard is added. Declared bounds are compared against the payload
+    network's measurements: payload energy (spikes excluding
+    instrumentation), payload neuron count, and executed steps. Violations
+    are reported, never fatal; the timer, when requested, turns a time
+    overrun into an actual reject verdict.
     """
     entry = get_compiler(compiler)
     n = entry.size_of(instance)
     caps = bounds.caps(n)
-    counting = CountingBuilder()
-    network = entry.build(instance, counting)
-    cost = counting.cost()
-    payload_neurons = network.size()
+    network = entry.build(instance, NetworkBuilder())
+    cost = GeneratorCost.of(network)
+    payload_neurons = cost.peak_neurons
     if instrument.timer:
         network = attach_timer(network, max(caps.time - 1, 0))
     if instrument.meter:
@@ -464,19 +462,19 @@ class MismatchReport:
 def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> MismatchReport:
     """Exhaustively sweep the small domain (plus seeded random samples).
 
-    Every instance is compiled, simulated, and compared against the
-    compiler's brute-force reference. Alongside verdict equivalence the
-    sweep enforces the per-variant payload spike ceiling and the universal
-    energy <= time * neurons inequality, reporting offenders.
-
-    For an entry with a `split`, consecutive instances with equal compile
-    arguments share the previous instance's compiled structure and plan;
-    each runs as that plan with its own port schedules. Instances of an
-    entry with only `build` are each built and planned on their own.
+    Every instance runs and is compared against the compiler's brute-force
+    reference, and its payload spikes against the entry's `payload_bound`
+    when it declares one. The entry needs `enumerate_domain`, `split` and
+    `compile`. Consecutive instances with equal compile arguments share one
+    compiled structure and plan; each runs as that plan with its own port
+    schedules. `inequality_violations` is always empty: every `ResourceReport`
+    already keeps ENERGY <= TIME * SPACE.
     """
     entry = get_compiler(compiler)
     if entry.enumerate_domain is None:
         raise ValueError(f"compiler {compiler!r} does not support domain enumeration")
+    if entry.split is None or entry.compile is None:
+        raise ValueError(f"compiler {compiler!r} declares no split and compile to sweep")
     instances: Iterable[Any] = entry.enumerate_domain(domain)
     if domain.random_instances:
         if entry.sample is None:
@@ -487,21 +485,16 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     checked = 0
     mismatches = []
     bound_violations = []
-    inequality_violations = []
     structure = None  # (compile arguments, compiled, plan) of the previous instance
     for instance in instances:
         checked += 1
-        if entry.split is None:
-            plan = build_plan(entry.build(instance, NetworkBuilder()))
-        else:
-            args, schedules = entry.split(instance)
-            if structure is None or structure[0] != args:
-                compiled = entry.compile(*args, NetworkBuilder())
-                structure = (args, compiled, build_plan(compiled.network))
-            structure[1].check_ports(schedules)
-            plan = structure[2].with_schedules(schedules)
+        args, schedules = entry.split(instance)
+        if structure is None or structure[0] != args:
+            compiled = entry.compile(*args, NetworkBuilder())
+            structure = (args, compiled, build_plan(compiled.network))
+        structure[1].check_ports(schedules)
         report = run(
-            plan,
+            structure[2].with_schedules(schedules),
             RunLimits(max_steps=entry.step_limit(instance)),
             validate=False,
         ).report
@@ -511,11 +504,7 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         if entry.payload_bound is not None:
             if report.energy_payload > entry.payload_bound(instance):
                 bound_violations.append(instance)
-        if report.energy > report.time * report.neurons:
-            inequality_violations.append(instance)
-    return MismatchReport(
-        checked, tuple(mismatches), tuple(bound_violations), tuple(inequality_violations)
-    )
+    return MismatchReport(checked, tuple(mismatches), tuple(bound_violations), ())
 
 
 def _constant_accept_entry() -> CompilerEntry:

@@ -113,7 +113,8 @@ def build_compiled_network(compiler: str, args: tuple[str, ...], lineno: int = 0
         if extra:
             raise ValueError(f"unknown flag {extra[0]!r}")
         compiled, schedules = compile_from_flags(compiler, flags)
-        return compiled.network if schedules is None else compiled.bind(schedules)
+        # compile_from_flags has checked the schedules against the ports.
+        return compiled.network.bind_schedules(schedules or {})
     except ValueError as exc:
         raise HostProgramError(f"line {lineno}: {exc}") from None
 

@@ -203,22 +203,23 @@ class Network:
         """Network size = neuron count (synapses are reported separately)."""
         return len(self.neurons) + len(self.programmed)
 
-    def incoming_weight_magnitude(self, post: str) -> Fraction:
-        """Sum of |weight| over all synapses into `post`.
+    def incoming_weight_magnitudes(self, posts: Iterable[str]) -> dict[str, Fraction]:
+        """Sum of |weight| over the synapses into each of `posts`, in one walk.
 
-        Summed as an integer over a running common denominator, so the one
-        reduction happens when the result is built.
+        Each sum is an integer over a running common denominator, so the one
+        reduction per name happens when its result is built.
         """
-        total, den = 0, 1
+        sums = dict.fromkeys(posts, (0, 1))
         for syn in self.synapses:
-            if syn.post == post:
+            if syn.post in sums:
+                total, den = sums[syn.post]
                 p, q = syn.weight.as_integer_ratio()
                 if den % q:
                     scale = lcm(den, q) // den
                     total *= scale
                     den *= scale
-                total += abs(p) * (den // q)
-        return Fraction(total, den)
+                sums[syn.post] = (total + abs(p) * (den // q), den)
+        return {post: Fraction(total, den) for post, (total, den) in sums.items()}
 
     def bind_schedules(self, bindings: Mapping[str, object]) -> "Network":
         """Replace the schedules of existing programmed neurons, checked by `checked_bindings`."""

@@ -1,6 +1,6 @@
 """The construction layer's integer arithmetic matches the Fraction formulas.
 
-`validate_network`, the `.snn` neuron checks, `Network.incoming_weight_magnitude`
+`validate_network`, the `.snn` neuron checks, `Network.incoming_weight_magnitudes`
 and `ResourceBound.evaluate` work on integer numerator/denominator pairs and
 build at most one `Fraction` at the end. The property tests compare each of
 them with the Fraction-operator formula it replaced. The tripwire tests make
@@ -9,6 +9,7 @@ that creeps back into one of these paths fails here instead of only showing
 up as a slowdown.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -54,11 +55,13 @@ def _arm_tripwire(monkeypatch):
 @given(st.lists(st.tuples(st.sampled_from(POSTS), fractions), max_size=12))
 def test_incoming_weight_magnitude_matches_fraction_sum(edges):
     network = Network(synapses=tuple(SynapseSpec("a", post, 1, w) for post, w in edges))
+    together = network.incoming_weight_magnitudes(POSTS)
     for post in POSTS:
-        got = network.incoming_weight_magnitude(post)
+        got = network.incoming_weight_magnitudes([post])[post]
         want = sum((abs(w) for p, w in edges if p == post), Fraction(0))
         assert type(got) is Fraction
         assert got == want
+        assert together[post] == want
 
 
 def _polynomial(coefficients, n):
@@ -95,7 +98,10 @@ def test_bound_evaluate_matches_fraction_formula(shape, n):
     got = bound.evaluate(n)
     assert type(got) is Fraction
     assert got == want
-    assert ResourceBounds(bound, bound, bound).caps(n) == ResourceCaps(*[floor(got)] * 3)
+    bounds = ResourceBounds(
+        bound, replace(bound, applies_to="space"), replace(bound, applies_to="energy")
+    )
+    assert bounds.caps(n) == ResourceCaps(*[floor(got)] * 3)
 
 
 def _neuron_messages(spec):
@@ -179,10 +185,10 @@ def test_validate_sparse_network_without_fraction_operators(monkeypatch):
 def test_weight_magnitude_without_fraction_operators(monkeypatch):
     network = compile_search_embedded(ArrayInstance((3, 1, 4, 1), 4, 8))
     network = attach_meter(attach_timer(network, 9), 6)
-    want = {name: network.incoming_weight_magnitude(name) for name in network.ids()}
+    want = {name: network.incoming_weight_magnitudes([name])[name] for name in network.ids()}
     assert any(syn.weight.denominator > 1 for syn in network.synapses)
     _arm_tripwire(monkeypatch)
-    assert {name: network.incoming_weight_magnitude(name) for name in network.ids()} == want
+    assert network.incoming_weight_magnitudes(network.ids()) == want
 
 
 def test_bound_caps_without_fraction_operators(monkeypatch):

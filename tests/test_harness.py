@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from snnkit import harness
 from snnkit.arraysearch import VARIANTS, ArrayInstance, compile_search_value_input, encode_input
 from snnkit.engine import RunLimits, run
 from snnkit.gadgets import make_constant_firer, merge
@@ -12,8 +13,6 @@ from snnkit.harness import (
     ACCEPTED,
     PROMISE_VIOLATED,
     REJECTED,
-    CompilerEntry,
-    CountingBuilder,
     Domain,
     GeneratorCost,
     Instrument,
@@ -30,7 +29,7 @@ from snnkit.harness import (
     registered_compilers,
     verify_equivalence,
 )
-from snnkit.model import NetworkBuilder
+from snnkit.model import NetworkBuilder, PeriodicSchedule
 from snnkit.randnet import random_network
 
 
@@ -88,6 +87,13 @@ class TestResourceBound:
     def test_rejects_unknown_resource(self):
         with pytest.raises(ValueError):
             ResourceBound.constant(1, "luck")
+
+    @pytest.mark.parametrize("slot,other", [("time", "energy"), ("space", "time"), ("energy", "space")])
+    def test_bounds_refuse_a_bound_declared_for_another_slot(self, slot, other):
+        slots = {name: ResourceBound.constant(5, name) for name in ("time", "space", "energy")}
+        slots[slot] = ResourceBound.constant(5, other)
+        with pytest.raises(ValueError, match=f"{slot} bound is declared for {other}"):
+            ResourceBounds(**slots)
 
     def test_caps_floor(self):
         bounds = ResourceBounds(
@@ -313,7 +319,7 @@ def _per_instance_report(compiler, domain, seed):
     instances = list(entry.enumerate_domain(domain))
     rng = Random(seed)
     instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
-    mismatches, bound_violations, inequality_violations = [], [], []
+    mismatches, bound_violations = [], []
     for instance in instances:
         network = entry.build(instance, NetworkBuilder())
         report = run(network, RunLimits(max_steps=entry.step_limit(instance)), validate=False).report
@@ -323,14 +329,15 @@ def _per_instance_report(compiler, domain, seed):
         if entry.payload_bound is not None:
             if report.energy_payload > entry.payload_bound(instance):
                 bound_violations.append(instance)
-        if report.energy > report.time * report.neurons:
-            inequality_violations.append(instance)
-    return MismatchReport(
-        len(instances), tuple(mismatches), tuple(bound_violations), tuple(inequality_violations)
-    )
+    return MismatchReport(len(instances), tuple(mismatches), tuple(bound_violations), ())
 
 
 class TestVerifyEquivalence:
+    @pytest.fixture(autouse=True)
+    def _own_registry(self, monkeypatch):
+        # Entries a test registers stay out of every other test's registry.
+        monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+
     def test_variant_a_exhaustive_small(self):
         report = verify_equivalence("array-search-a", Domain(max_len=3, max_val=4))
         assert report.checked == (1 + 4 + 16 + 64) * 4
@@ -377,29 +384,21 @@ class TestVerifyEquivalence:
         # cross it: a mutation the sweep must flag.
         entry = get_compiler("array-search-a")
 
-        def corrupted_build(instance, builder):
-            net = entry.build(instance, builder)
+        def corrupted_compile(instance, builder):
+            compiled = entry.compile(instance, builder)
             neurons = tuple(
-                spec if spec.id != "acc" else type(spec)(spec.id, 1, spec.reset, spec.leak)
-                for spec in net.neurons
+                spec if spec.id != "acc" else replace(spec, threshold=Fraction(1))
+                for spec in compiled.network.neurons
             )
-            return type(net)(
-                neurons=neurons,
-                programmed=dict(net.programmed),
-                synapses=net.synapses,
-                accept=net.accept,
-                reject=net.reject,
-            )
+            return replace(compiled, network=replace(compiled.network, neurons=neurons))
 
         register_compiler(
-            CompilerEntry(
+            replace(
+                entry,
                 name="array-search-a-corrupted",
-                size_of=entry.size_of,
-                build=corrupted_build,
-                reference=entry.reference,
-                step_limit=entry.step_limit,
-                enumerate_domain=entry.enumerate_domain,
-                sample=entry.sample,
+                build=composed_build(entry.split, corrupted_compile),
+                compile=corrupted_compile,
+                from_flags=None,
             )
         )
         report = verify_equivalence("array-search-a-corrupted", Domain(max_len=3, max_val=4))
@@ -408,6 +407,14 @@ class TestVerifyEquivalence:
             len(set(m.instance.elements)) < len(m.instance.elements)
             for m in report.mismatches
         )
+
+    @pytest.mark.parametrize("missing", ["split", "compile"])
+    def test_entry_without_split_and_compile_is_refused(self, missing):
+        entry = replace(get_compiler("array-search-b"), name="array-search-b-whole", from_flags=None)
+        assert entry.enumerate_domain is not None
+        register_compiler(replace(entry, **{missing: None}))
+        with pytest.raises(ValueError, match="no split and compile"):
+            verify_equivalence("array-search-b-whole", Domain(max_len=1, max_val=2))
 
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_swept_report_equals_per_instance_loop(self, variant):
@@ -465,27 +472,32 @@ class TestVerifyEquivalence:
         assert {"array-search-a", "array-search-b", "array-search-c"} <= set(names)
 
 
-class TestCountingBuilder:
+class TestGeneratorCost:
     def test_counts(self):
-        builder = CountingBuilder()
+        builder = NetworkBuilder()
         builder.add_neuron("n")
         builder.add_input("p", [0, 1, 2])
         builder.add_input("q", [])
         builder.add_synapse("p", "n")
-        cost = builder.cost()
+        cost = GeneratorCost.of(builder.build())
         assert cost.peak_neurons == 3
         assert cost.peak_synapses == 1
         # 3 declarations + 3 scheduled spikes + 1 synapse
         assert cost.builder_ops == 7
         assert cost.builder_ops >= cost.peak_neurons + cost.peak_synapses
 
+    def test_periodic_schedule_counts_one_spike(self):
+        builder = NetworkBuilder()
+        builder.add_input("p", PeriodicSchedule(offset=1, period=2))
+        assert GeneratorCost.of(builder.build()) == GeneratorCost(2, 1, 0)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_add_network_costs_what_its_adds_cost(self, seed):
         network = random_network(seed)
-        whole = CountingBuilder()
+        whole = NetworkBuilder()
         whole.add_neuron("first")
         whole.add_network(network)
-        piecewise = CountingBuilder()
+        piecewise = NetworkBuilder()
         piecewise.add_neuron("first")
         for spec in network.neurons:
             piecewise.add_neuron(spec.id, spec.threshold, spec.reset, spec.leak)
@@ -493,11 +505,13 @@ class TestCountingBuilder:
             piecewise.add_input(name, sched)
         for syn in network.synapses:
             piecewise.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
-        assert whole.cost() == piecewise.cost()
-        assert whole.build(validate=False) == piecewise.build(validate=False)
+        whole_network = whole.build(validate=False)
+        piecewise_network = piecewise.build(validate=False)
+        assert GeneratorCost.of(whole_network) == GeneratorCost.of(piecewise_network)
+        assert whole_network == piecewise_network
 
     def test_adds_that_raise_cost_nothing(self):
-        builder = CountingBuilder()
+        builder = NetworkBuilder()
         builder.add_neuron("n")
         with pytest.raises(ValueError):
             builder.add_neuron("n")
@@ -505,8 +519,9 @@ class TestCountingBuilder:
             builder.add_input("p", 5)
         with pytest.raises(TypeError):
             builder.add_synapse("n", "n", weight=0.5)
-        assert builder.build().size() == 1
-        assert builder.cost() == GeneratorCost(builder_ops=1, peak_neurons=1, peak_synapses=0)
+        network = builder.build()
+        assert network.size() == 1
+        assert GeneratorCost.of(network) == GeneratorCost(builder_ops=1, peak_neurons=1, peak_synapses=0)
 
     def test_array_search_costs_are_pinned(self):
         # GeneratorCost is a reported resource: hash it for every instance
@@ -517,12 +532,11 @@ class TestCountingBuilder:
         for variant in VARIANTS:
             entry = get_compiler(f"array-search-{variant}")
             for instance in entry.enumerate_domain(Domain(max_len=2, max_val=4)):
-                builder = CountingBuilder()
-                entry.build(instance, builder)
+                built = GeneratorCost.of(entry.build(instance, NetworkBuilder()))
                 decision = generate_and_decide(
                     entry.name, instance, _fig_bounds(instance.bound), instrument
                 )
-                for cost in (builder.cost(), decision.cost):
+                for cost in (built, decision.cost):
                     digest.update(repr(astuple(cost)).encode())
                 count += 1
         assert count == 3 * 84

@@ -5,8 +5,10 @@ compiler registry and the equivalence sweep. Problem families (array search
 in `arraysearch`) build on it and register their compilers with it, so the
 harness may import the machine layers beneath it but no family. The gadgets
 build their networks through `NetworkBuilder`, and the rules for a
-well-formed neuron and schedule are written once, in `model`. These checks
-read the sources as text and import nothing.
+well-formed neuron and schedule are written once, in `model`. The port rule
+of a compiled structure is written once, in `harness`, and generator cost is
+read off the generated network, so no module needs a builder of its own.
+These checks read the sources as text and import nothing.
 """
 
 import ast
@@ -68,6 +70,33 @@ def test_gadgets_build_through_the_builder():
     }
     assert "Network" not in called
     assert not imported & {"validate_network", "InvalidNetworkError", "check_network"}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_port_rule_lives_in_harness_only():
+    definers = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("check_ports", "bind")
+    }
+    assert definers == {"harness"}
+
+
+def test_no_module_subclasses_the_builder():
+    subclasses = {
+        (module, node.name)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases
+        if "NetworkBuilder" in {getattr(base, "id", None), getattr(base, "attr", None)}
+    }
+    assert subclasses == set()
 
 
 # Each neuron and schedule rule's reason. The synapse delay rule is left

@@ -293,5 +293,6 @@ def test_bind_schedules():
 
 def test_incoming_weight_magnitude():
     net = _valid_network()
-    assert net.incoming_weight_magnitude("b") == Fraction(1, 3)
-    assert net.incoming_weight_magnitude("a") == 1
+    assert net.incoming_weight_magnitudes(["b"]) == {"b": Fraction(1, 3)}
+    assert net.incoming_weight_magnitudes(["a"]) == {"a": 1}
+    assert net.incoming_weight_magnitudes(["a", "b"]) == {"a": 1, "b": Fraction(1, 3)}

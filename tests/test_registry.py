@@ -8,7 +8,6 @@ entry's own `build` must agree on every network.
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +16,15 @@ from hypothesis import strategies as st
 from snnkit import harness
 from snnkit.arraysearch import ArrayInstance
 from snnkit.cli import main
-from snnkit.harness import CompilerEntry, composed_build, get_compiler, register_compiler
+from snnkit.harness import (
+    CompiledStructure,
+    CompilerEntry,
+    composed_build,
+    get_compiler,
+    register_compiler,
+)
 from snnkit.hostprog import HostProgramError, build_compiled_network, host_run
-from snnkit.model import ExplicitSchedule, Network, NetworkBuilder, one_shot
+from snnkit.model import ExplicitSchedule, NetworkBuilder, one_shot
 from snnkit.snnfmt import parse_network, parse_port_bindings
 
 
@@ -88,6 +93,7 @@ def test_front_ends_agree(variant, flags, instance, tmp_path):
         (("--variant", "c", "--size", "2", "--target", "2", "--bound", "4"),
          "--size disagrees with --array"),
         (("--variant", "a", "--array", "1", "--bound", "4"), "variant a needs --target"),
+        (("--variant", "b", "--size", "3", "--bound", "4"), "--size disagrees with --array"),
     ],
 )
 def test_front_ends_reject_alike(flags, message, tmp_path, capsys):
@@ -124,21 +130,6 @@ def test_front_ends_reject_outside_spellings(flags, tmp_path, capsys):
     assert not sidecar.exists()
 
 
-@dataclass(frozen=True)
-class _OnePort:
-    """The least a compiled structure offers: its network, a port check and a bind."""
-
-    network: Network
-
-    def check_ports(self, schedules):
-        if set(schedules) != {"p"}:
-            raise ValueError(f"the toy binds port p alone, not {sorted(schedules)}")
-
-    def bind(self, schedules):
-        self.check_ports(schedules)
-        return self.network.bind_schedules(schedules)
-
-
 def _toy_entry(calls):
     """A one-port compiler: the port fires at the target and excites accept."""
 
@@ -151,7 +142,7 @@ def _toy_entry(calls):
         builder.add_neuron("acc")
         builder.add_synapse("p", "acc")
         builder.set_accept("acc")
-        return _OnePort(builder.build())
+        return CompiledStructure(builder.build(), ("p",))
 
     def from_flags(array, size, target, bound):
         if target is None:

@@ -25,6 +25,6 @@ cdef class Kernel:
 
     # Only indices and flags get C types: potentials, leak powers and weights
     # are big integers on the rational path.
-    @cython.locals(k=cython.Py_ssize_t, accept_idx=cython.int, reject_idx=cython.int,
-                   acc=cython.bint, rej=cython.bint)
+    @cython.locals(k=cython.Py_ssize_t, rule=cython.int, accept_idx=cython.int,
+                   reject_idx=cython.int, acc=cython.bint, rej=cython.bint)
     cpdef step(self)

@@ -14,16 +14,25 @@ gcd. Only `potential_pairs` and `pending_pairs`, which serve inspection,
 divide by L_k (and Q) and reduce.
 
 The step loop is event-driven and makes one pass over one map: the slot of
-summed deliveries for step t. A regular neuron can only change state or fire
-when a delivery arrives, on the step after it fired (reset may re-trigger it
-when reset >= threshold), or always when its threshold is zero, and such
-neurons fire every step. Those carried neurons join the slot at weight 0
-when nothing is delivered to them. That is exact: max(0, .) leaves a
-nonnegative potential unchanged, and a zero potential always has Q = 1, so
-the fire test sees the same value. Programmed neurons fire as they come off
-one heap of the plan's (time, neuron, period) entries; an entry with a
-period above 0 goes back on at time + period. Deliveries into programmed
-neurons stay in the slot as pending state and the pass skips them. The fired indices are sorted once, after the pass.
+summed deliveries for step t. It branches once per neuron on the plan's rule
+code. An integrator (leak 1) adds its input to N and never reads or writes Q
+or its last-touched step: Q stays 1 and idle steps change nothing. A
+memoryless neuron (leak 0) takes max(0, input) as its potential. A decaying
+neuron (any other leak) applies leak**dt to N/Q. Programmed neurons are
+skipped. Without a delivery a regular neuron can only fire again when it
+just fired and leak*reset >= threshold, tested in scaled integers; since
+leak <= 1 its potential never rises while idle, and a zero threshold always
+passes. Only those neurons are carried: they join the next step's slot at
+weight 0 when nothing is delivered to them. That is exact: max(0, .) leaves
+a nonnegative potential unchanged, and a zero potential always has Q = 1,
+so the fire test sees the same value. A neuron that fired and is not carried
+holds a reset that decay can never lift to its threshold, and its unreduced
+Q gives the same N/Q when it is next touched. Zero-threshold neurons are
+carried into step 0. Programmed neurons fire as they come off one heap of
+the plan's (time, neuron, period) entries; an entry with a period above 0
+goes back on at time + period. Deliveries into programmed neurons stay in
+the slot as pending state and the pass skips them. The fired indices are
+sorted once, after the pass.
 A step with no delivery, no carried neuron and no programmed firing returns
 at once. Idle decay is applied lazily as leak**dt on the next touch, which
 is exact and order-independent.
@@ -36,6 +45,13 @@ VERDICT_NONE = 0
 VERDICT_ACCEPT = 1
 VERDICT_REJECT = 2
 VERDICT_AMBIGUOUS = 3
+
+# A plan's per-neuron rule codes. `step` tests the literals, which compile to
+# C comparisons where module globals would not.
+RULE_MEMORYLESS = 0
+RULE_INTEGRATOR = 1
+RULE_DECAYING = 2
+RULE_PROGRAMMED = 3
 
 
 class Kernel:
@@ -61,7 +77,7 @@ class Kernel:
         self.ud = [1] * n
         self.last = [0] * n
         # Zero-threshold neurons fire unconditionally; seed them as candidates.
-        self.carry = {k for k in range(n) if kinds[k] == 0 and self.tn[k] == 0}
+        self.carry = {k for k in range(n) if kinds[k] != RULE_PROGRAMMED and self.tn[k] == 0}
         self.bucket = {}
         self.heap = list(plan.spikes)
         self.energy = 0
@@ -101,33 +117,49 @@ class Kernel:
             ud = self.ud
             last = self.last
             for k, w in inputs.items():
-                if kinds[k] == 1:
-                    continue
-                nu = un[k]
-                du = ud[k]
-                if nu:
-                    dt = t - last[k]
-                    if dt:
+                rule = kinds[k]
+                if rule == 1:  # RULE_INTEGRATOR: Q stays 1, idle steps change nothing
+                    nu = un[k] + w
+                    if nu < 0:
+                        nu = 0
+                    if nu >= tn[k]:
+                        fired.append(k)
+                        nu = rn[k]
+                        if nu >= tn[k]:
+                            carry.add(k)
+                    un[k] = nu
+                elif rule == 0:  # RULE_MEMORYLESS
+                    nu = w if w > 0 else 0
+                    if nu >= tn[k]:
+                        fired.append(k)
+                        nu = rn[k]
+                        if not tn[k]:
+                            carry.add(k)
+                    un[k] = nu
+                    last[k] = t
+                elif rule == 2:  # RULE_DECAYING
+                    nu = un[k]
+                    du = ud[k]
+                    if nu:
+                        # A nonzero potential was set on an earlier step, so dt >= 1.
+                        dt = t - last[k]
                         m = mn[k]
-                        if m == 0:
-                            nu = 0
-                            du = 1
-                        elif m != md[k]:
-                            if m != 1:
-                                nu *= m ** dt
-                            du *= md[k] ** dt
-                nu += w * du
-                if nu <= 0:
-                    nu = 0
-                    du = 1
-                if nu >= tn[k] * du:
-                    fired.append(k)
-                    carry.add(k)
-                    nu = rn[k]
-                    du = 1
-                un[k] = nu
-                ud[k] = du
-                last[k] = t
+                        if m != 1:
+                            nu *= m ** dt
+                        du *= md[k] ** dt
+                    nu += w * du
+                    if nu <= 0:
+                        nu = 0
+                        du = 1
+                    if nu >= tn[k] * du:
+                        fired.append(k)
+                        nu = rn[k]
+                        du = 1
+                        if nu * mn[k] >= tn[k] * md[k]:
+                            carry.add(k)
+                    un[k] = nu
+                    ud[k] = du
+                    last[k] = t
         if fired:
             fired.sort()
             energy = self.energy
@@ -170,7 +202,7 @@ class Kernel:
         tm = self.t - 1
         pairs = []
         for k in range(self.n):
-            if self.kinds[k] == 1:
+            if self.kinds[k] == RULE_PROGRAMMED:
                 pairs.append(None)
                 continue
             nu = self.un[k]

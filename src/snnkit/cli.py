@@ -128,7 +128,7 @@ def _cmd_compile(args) -> int:
     outputs = []
     if args.inputs_out is not None:
         outputs.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
-    outputs.append((args.output, snnfmt.serialize_network(check_network(compiled.network))))
+    outputs.append((args.output, snnfmt.serialize_network(compiled.network)))
     _write_files_together([(path, text) for path, text in outputs if path != "-"])
     for path, text in outputs:
         if path == "-":

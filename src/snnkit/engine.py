@@ -38,7 +38,7 @@ from math import lcm
 from typing import Mapping, NamedTuple
 
 from . import _kernel
-from ._kernel import Kernel
+from ._kernel import RULE_DECAYING, RULE_INTEGRATOR, RULE_MEMORYLESS, RULE_PROGRAMMED, Kernel
 from .model import ExplicitSchedule, Network, SpikeSchedule, check_network, checked_bindings
 
 ACCEPT = "accept"
@@ -135,8 +135,10 @@ class Plan:
     """A network compiled into the flat index-based form the kernel steps.
 
     Neurons are numbered in sorted id order (`ids`), and every per-neuron
-    field is a tuple indexed that way. `kinds` holds 0 for a regular and 1
-    for a programmed neuron. `scale[k]` is neuron k's L_k: the lcm of the
+    field is a tuple indexed that way. `kinds` holds the rule the kernel
+    steps each neuron by: 0 for leak 0 (memoryless), 1 for leak 1
+    (integrator), 2 for any other leak (decaying) and 3 for a programmed
+    neuron. `scale[k]` is neuron k's L_k: the lcm of the
     denominators of its threshold, its reset and every weight into it
     (programmed neurons included, since deliveries to them are pending state
     too). `thresholds` and `resets` hold threshold*L and reset*L, and
@@ -221,10 +223,12 @@ def build_plan(network: Network) -> Plan:
             L = scale[k] = lcm(L, td, rd)
         thresholds[k] = tn * (L // td)
         resets[k] = rn * (L // rd)
-        leak_nums[k], leak_dens[k] = spec.leak.as_integer_ratio()
+        m, md = spec.leak.as_integer_ratio()
+        leak_nums[k], leak_dens[k] = m, md
+        kinds[k] = RULE_MEMORYLESS if m == 0 else RULE_INTEGRATOR if m == md else RULE_DECAYING
     for name, sched in network.programmed.items():
         k = index[name]
-        kinds[k] = 1
+        kinds[k] = RULE_PROGRAMMED
         spikes += _schedule_entries(k, sched)
     for syn in network.synapses:
         post = index[syn.post]

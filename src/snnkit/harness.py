@@ -196,8 +196,10 @@ class Decision:
 class CompiledStructure:
     """What a compiler's `compile` returns: a network with open input ports.
 
-    `network` is the structure with its ports unscheduled. The harness, the
-    command line and the host language bind ports only through
+    `network` is the structure with its ports unscheduled, already validated:
+    a compiler builds it with `NetworkBuilder.build()`, which checks it, so
+    its users serialize or plan it without checking it again. The harness,
+    the command line and the host language bind ports only through
     `check_ports` and `bind`.
     """
 

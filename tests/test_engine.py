@@ -97,6 +97,34 @@ class TestNeuronRule:
             assert next_u < t
 
 
+
+class TestCarryBoundary:
+    """Each neuron rule at the edge of re-firing with no input: leak*reset vs threshold.
+
+    p's spike crosses the threshold at t=1. A neuron whose leak*reset reaches
+    its threshold fires on every later step; one whose does not fires again
+    only when the delivery at t=5 lifts it. `_drive` checks the fired ids,
+    potentials and pending deliveries after every step.
+    """
+
+    @pytest.mark.parametrize(
+        "inputs, threshold, reset, leak, expected",
+        [
+            pytest.param([(1, F(2))], 2, 2, 1, ([1, 2, 3, 4, 5, 6, 7], F(2)), id="integrator-refires"),
+            pytest.param([(1, F(2)), (5, F(1))], 2, 1, 1, ([1, 5], F(1)), id="integrator-holds-reset"),
+            # 1/2 * 4 = 2 reaches threshold 2.
+            pytest.param([(1, F(2))], 2, 4, F(1, 2), ([1, 2, 3, 4, 5, 6, 7], F(4)), id="decaying-refires"),
+            # 1/2 * 3 < 2: the reset decays untouched to 3/16 by t=5, where 2 more fires it.
+            pytest.param([(1, F(2)), (5, F(2))], 2, 3, F(1, 2), ([1, 5], F(3, 4)), id="decaying-decays-idle"),
+            pytest.param([(3, F(-5))], 0, 2, 0, ([0, 1, 2, 3, 4, 5, 6, 7], F(2)), id="memoryless-zero-threshold"),
+            pytest.param([(1, F(2)), (5, F(2))], 2, 3, 0, ([1, 5], F(0)), id="memoryless-reset-above-threshold"),
+        ],
+    )
+    def test_fires_again_without_input_only_when_leak_times_reset_reaches_threshold(
+        self, inputs, threshold, reset, leak, expected
+    ):
+        assert _drive(8, inputs, threshold, reset, leak) == expected
+
 def _one_shot_network():
     builder = NetworkBuilder()
     builder.add_input("p", [0])
@@ -382,6 +410,18 @@ class TestAgainstReference:
             assert report.energy_payload == ref.payload_energy, f"seed {seed}"
             got = [(step.t, step.fired) for step in trace.steps]
             assert got == ref.fired_log, f"seed {seed}"
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_random_networks_match_reference_state(self, seed):
+        net = random_network(seed, max_neurons=12, max_synapses=30)
+        ref = simulate_reference(net, 60)
+        fired_at = dict(ref.fired_log)
+        sim = Simulation(net)
+        for t, (potentials, pending) in enumerate(ref.state_log):
+            assert sim.step() == fired_at.get(t, ()), t
+            assert sim.potentials() == potentials, t
+            assert sim.pending() == pending, t
 
     @pytest.mark.parametrize(
         "build",

@@ -151,6 +151,17 @@ class TestWithSchedules:
         assert run(build_plan(bad), RunLimits(3), validate=False).report.time == 3
 
 
+def test_plan_kinds_name_each_neuron_rule():
+    builder = NetworkBuilder()
+    builder.add_neuron("a", leak=0)
+    builder.add_neuron("b", leak=1)
+    builder.add_neuron("c", leak="1/2")
+    builder.add_input("d", [0])
+    plan = build_plan(builder.build())
+    assert plan.ids == ("a", "b", "c", "d")
+    assert plan.kinds == (0, 1, 2, 3)
+
+
 # -- differential test against the reference simulator --------------------
 
 _LEAKS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))

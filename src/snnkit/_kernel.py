@@ -77,7 +77,7 @@ class Kernel:
         self.ud = [1] * n
         self.last = [0] * n
         # Zero-threshold neurons fire unconditionally; seed them as candidates.
-        self.carry = {k for k in range(n) if kinds[k] != RULE_PROGRAMMED and self.tn[k] == 0}
+        self.carry = {k for k, th in enumerate(self.tn) if not th and kinds[k] != RULE_PROGRAMMED}
         self.bucket = {}
         self.heap = list(plan.spikes)
         self.energy = 0

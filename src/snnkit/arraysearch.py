@@ -102,15 +102,16 @@ def contains_target(instance: ArrayInstance) -> bool:
 CompiledSearch = CompiledStructure
 
 
-def _detector_weight(n: int) -> Fraction:
-    return Fraction(1, max(n, 1))
+# Exact constants, so building a network coerces no parameter.
+_ZERO, _INHIBIT = Fraction(0), Fraction(-1)
 
 
 def _wire_common(builder: NetworkBuilder, n: int) -> None:
     # Detector fires only on value+element coincidence; duplicates alone
-    # sum to at most n * (1/n) = 1 < threshold.
-    weight = _detector_weight(n)
-    builder.add_neuron(DETECTOR, threshold=1 + weight, reset=0, leak=0)
+    # sum to at most n * (1/n) = 1 < threshold 1 + 1/n.
+    m = max(n, 1)
+    weight = Fraction(1, m)
+    builder.add_neuron(DETECTOR, threshold=Fraction(m + 1, m), reset=_ZERO, leak=_ZERO)
     builder.add_neuron(REJECTOR)
     for j in range(n):
         builder.add_synapse(element_port(j), DETECTOR, weight=weight)
@@ -133,7 +134,7 @@ def compile_search_embedded(
     builder.add_synapse(VALUE_PORT, REJECTOR, delay=instance.bound + 2 - instance.target)
     if instance.size >= 1:
         builder.add_synapse(
-            DETECTOR, REJECTOR, delay=instance.bound + 1 - instance.target, weight=-1
+            DETECTOR, REJECTOR, delay=instance.bound + 1 - instance.target, weight=_INHIBIT
         )
     return builder.build()
 
@@ -177,7 +178,7 @@ def _wire_delay_invariant_reject(builder: NetworkBuilder, n: int, bound: int) ->
     # the detector at i + 1.
     builder.add_synapse(VALUE_PORT, REJECTOR, delay=bound + 1)
     if n >= 1:
-        builder.add_synapse(DETECTOR, REJECTOR, delay=bound, weight=-1)
+        builder.add_synapse(DETECTOR, REJECTOR, delay=bound, weight=_INHIBIT)
 
 
 def encode_input(

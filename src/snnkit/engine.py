@@ -30,7 +30,7 @@ the build that was imported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib.machinery import ExtensionFileLoader
@@ -67,10 +67,11 @@ class RunLimits:
     max_total_spikes: int | None = None
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.max_total_spikes is not None and self.max_total_spikes < 0:
-            raise ValueError("max_total_spikes must be >= 0")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError("max_steps must be an integer >= 1")
+        cap = self.max_total_spikes
+        if cap is not None and (type(cap) is not int or cap < 0):
+            raise ValueError("max_total_spikes must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,10 @@ class Plan:
 
     `with_schedules` swaps programmed-neuron schedules without planning
     again, so networks that differ only in their input schedules share one
-    plan's structure. `source` is the planned network; `network` is the
-    network this plan simulates, i.e. `source` with the rebound schedules.
+    plan's structure: the rebound plan is a copy that shares every planned
+    field with its parent; only `spikes` and `bindings` are new. `source`
+    is the planned network; `network` is the network this plan simulates,
+    i.e. `source` with the rebound schedules.
     """
 
     ids: tuple[str, ...]
@@ -193,7 +196,12 @@ class Plan:
         for name, sched in checked.items():
             spikes += _schedule_entries(self.index[name], sched)
         spikes.sort()
-        return replace(self, spikes=tuple(spikes), bindings={**self.bindings, **checked})
+        # Copy and swap, skipping __init__; a `network` cached here is not the copy's.
+        plan = object.__new__(type(self))
+        state = vars(plan)
+        state.update(vars(self), spikes=tuple(spikes), bindings={**self.bindings, **checked})
+        state.pop("network", None)
+        return plan
 
 
 def build_plan(network: Network) -> Plan:
@@ -342,8 +350,9 @@ def run(
     time = limits.max_steps
     verdict = TIMEOUT
     cap = limits.max_total_spikes
+    step = sim.step
     for t in range(limits.max_steps):
-        fired = sim.step()
+        fired = step()
         if trace and fired:
             steps.append(TraceStep(t, fired, kernel.energy))
         if kernel.verdict:

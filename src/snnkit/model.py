@@ -10,9 +10,10 @@ simulation is exact and bit-for-bit reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
 DEFAULT_THRESHOLD = Fraction(1)
@@ -136,7 +137,8 @@ class ExplicitSchedule:
     times: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
+        if type(self.times) is not tuple:
+            object.__setattr__(self, "times", tuple(self.times))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +184,7 @@ class Network:
     gadget_tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        neurons = tuple(sorted(self.neurons, key=lambda n: n.id))
+        neurons = tuple(sorted(self.neurons, key=attrgetter("id")))
         programmed = {k: self.programmed[k] for k in sorted(self.programmed)}
         synapses = tuple(sorted(self.synapses))
         object.__setattr__(self, "neurons", neurons)
@@ -226,7 +228,9 @@ class Network:
         if not bindings:
             return self
         checked = checked_bindings(self.programmed, bindings)
-        return replace(self, programmed={**self.programmed, **checked})
+        network = object.__new__(type(self))  # copy and swap: keys and their order stay
+        vars(network).update(vars(self), programmed={**self.programmed, **checked})
+        return network
 
 
 def neuron_violations(spec: NeuronSpec) -> tuple[str, ...]:
@@ -252,7 +256,7 @@ def schedule_violations(sched: object) -> tuple[str, ...]:
     if isinstance(sched, ExplicitSchedule):
         increasing, prev = True, -1
         for t in sched.times:
-            if not isinstance(t, int) or t < 0:
+            if type(t) is not int or t < 0:
                 return ("schedule times must be integers >= 0",)
             increasing = increasing and t > prev
             prev = t
@@ -260,9 +264,9 @@ def schedule_violations(sched: object) -> tuple[str, ...]:
     if not isinstance(sched, PeriodicSchedule):
         return ("not a spike schedule",)
     reasons = ()
-    if not isinstance(sched.offset, int) or sched.offset < 0:
+    if type(sched.offset) is not int or sched.offset < 0:
         reasons += ("offset must be an integer >= 0",)
-    if not isinstance(sched.period, int) or sched.period < 1:
+    if type(sched.period) is not int or sched.period < 1:
         reasons += ("period must be an integer >= 1",)
     return reasons
 
@@ -315,7 +319,7 @@ def validate_network(network: Network) -> list[str]:
         for reason in schedule_violations(sched):
             out.append(f"input {name}: {reason}")
     for syn in network.synapses:
-        bad_delay = not isinstance(syn.delay, int) or syn.delay < 1
+        bad_delay = type(syn.delay) is not int or syn.delay < 1
         if not bad_delay and syn.pre in seen and syn.post in seen:
             continue
         label = f"synapse {syn.pre}->{syn.post}"

@@ -307,6 +307,18 @@ class TestRunLimits:
         with pytest.raises(ValueError):
             RunLimits(5, max_total_spikes=-1)
 
+    @pytest.mark.parametrize("max_steps", [True, 2.5, Fraction(3), "4", None])
+    def test_step_cap_must_be_an_int(self, max_steps):
+        # A bool is an int subclass whose values would pass the >= 1 test.
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            RunLimits(max_steps)
+
+    @pytest.mark.parametrize("cap", [False, True, 2.5, Fraction(3), "4"])
+    def test_spike_cap_must_be_an_int_or_none(self, cap):
+        with pytest.raises(ValueError, match="max_total_spikes must be an integer >= 0"):
+            RunLimits(5, max_total_spikes=cap)
+        assert RunLimits(5, max_total_spikes=None).max_total_spikes is None
+
 
 class TestTraceFormat:
     def test_render(self, trivial_accept_network):

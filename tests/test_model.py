@@ -23,6 +23,7 @@ from snnkit.model import (
     parse_rational,
     validate_network,
 )
+from snnkit.snnfmt import serialize_network
 
 
 def test_parse_rational_forms():
@@ -289,6 +290,34 @@ def test_bind_schedules():
     assert bound.programmed["port"] == ExplicitSchedule((3, 5))
     with pytest.raises(KeyError):
         net.bind_schedules({"nope": [1]})
+
+
+def test_bind_schedules_copies_and_swaps_the_schedules():
+    builder = NetworkBuilder()
+    for name in ("q", "p", "r"):
+        builder.add_input(name, [0])
+    builder.add_neuron("out")
+    builder.add_synapse("p", "out")
+    builder.set_accept("out")
+    net = builder.build()
+    programmed = net.programmed
+    before = dict(programmed)
+    bound = net.bind_schedules({"r": [4], "p": PeriodicSchedule(1, 3)})
+    rebuilt = Network(
+        neurons=net.neurons,
+        programmed={**before, "r": ExplicitSchedule((4,)), "p": PeriodicSchedule(1, 3)},
+        synapses=net.synapses,
+        accept=net.accept,
+        reject=net.reject,
+        gadget_tags=net.gadget_tags,
+    )
+    assert bound == rebuilt
+    assert list(bound.programmed) == ["p", "q", "r"]
+    assert serialize_network(bound) == serialize_network(rebuilt)
+    assert bound.neurons is net.neurons and bound.synapses is net.synapses
+    # The parent keeps its own schedules.
+    assert net.programmed is programmed and net.programmed == before
+    assert net.programmed["r"] == ExplicitSchedule((0,))
 
 
 def test_incoming_weight_magnitude():

@@ -6,7 +6,7 @@ array-search compilers and for generated networks checked step by step
 against the brute-force reference simulator.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from random import Random
 
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from snnkit.arraysearch import VALUE_PORT, VARIANTS
-from snnkit.engine import RunLimits, Simulation, build_plan, run
+from snnkit.engine import Plan, RunLimits, Simulation, build_plan, run
 from snnkit.harness import Domain, get_compiler
 from snnkit.model import (
     ExplicitSchedule,
@@ -29,6 +29,7 @@ from snnkit.model import (
     one_shot,
     validate_network,
 )
+from snnkit.snnfmt import serialize_network
 
 from reference_engine import simulate_reference
 
@@ -70,6 +71,10 @@ def test_rebound_plan_runs_like_the_built_network(variant):
         built = run(entry.build(instance, NetworkBuilder()), limits, trace=True)
         assert swept.report == built.report, instance
         assert swept.trace.render() == built.trace.render(), instance
+
+
+# Every Plan field that rebinding leaves as planned.
+_PLANNED_FIELDS = tuple(f.name for f in fields(Plan) if f.name not in ("spikes", "bindings"))
 
 
 def _two_port_network():
@@ -120,6 +125,30 @@ class TestWithSchedules:
             plan.with_schedules({"q": [0, 5], "p": [4, 2]})
         assert plan == build_plan(net)
         assert plan.network is net
+
+    def test_rebinding_after_reading_the_network(self):
+        # Reading `network` caches it on the parent; the rebound copy must
+        # build its own, and the parent must keep its spikes, bindings and network.
+        net = _two_port_network()
+        parent = build_plan(net)
+        assert parent.network is net
+        state = dict(vars(parent))
+        plan = parent.with_schedules({"p": [2]})
+        assert plan.network == net.bind_schedules({"p": [2]}) != net
+        assert vars(parent) == state and parent.network is net
+        assert plan.spikes != parent.spikes and plan.bindings == {"p": ExplicitSchedule((2,))}
+
+    def test_rebound_plan_shares_every_planned_field(self):
+        net = _two_port_network()
+        parent = build_plan(net)
+        assert parent.network is net
+        state = dict(vars(parent))
+        plan = parent.with_schedules({"p": [2]}).with_schedules({"q": [1]})
+        for name in _PLANNED_FIELDS:
+            assert getattr(plan, name) is getattr(parent, name), name
+        assert vars(parent) == state
+        bound = net.bind_schedules({"p": [2], "q": [1]})
+        assert plan == build_plan(bound) and plan.network == bound
 
     def test_empty_bindings_keep_the_plan(self):
         plan = build_plan(_two_port_network())
@@ -256,3 +285,34 @@ def test_exact_state_matches_reference_step_by_step(case):
         assert sim.potentials() == potentials, sim.t
         assert sim.pending() == pending, sim.t
     assert sim.t == ref.time
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rebinding_cases())
+def test_rebinding_copies_the_parent_and_swaps_only_schedules(case):
+    network, bindings, _ = case
+    parent = build_plan(network)
+    assert parent.network is network
+    plan_state, programmed = dict(vars(parent)), dict(network.programmed)
+    plan = parent.with_schedules(bindings)
+    bound = network.bind_schedules(bindings)
+    # The rebound network is the network construction would give.
+    rebuilt = Network(
+        neurons=network.neurons,
+        programmed={**network.programmed, **bindings},
+        synapses=network.synapses,
+        accept=network.accept,
+        reject=network.reject,
+        gadget_tags=network.gadget_tags,
+    )
+    assert bound == rebuilt
+    assert list(bound.programmed) == sorted(bound.programmed)
+    assert serialize_network(bound) == serialize_network(rebuilt)
+    # The rebound plan is the plan of that network, sharing its parent's planned fields.
+    assert plan.network == bound
+    assert plan == build_plan(bound)
+    for name in _PLANNED_FIELDS:
+        assert getattr(plan, name) is getattr(parent, name), name
+    # Neither parent changed.
+    assert vars(parent) == plan_state and parent.network is network
+    assert network.programmed == programmed

@@ -12,6 +12,7 @@ from snnkit.model import (
     NeuronSpec,
     PeriodicSchedule,
     SynapseSpec,
+    validate_network,
 )
 from snnkit.snnfmt import (
     NetworkFormatError,
@@ -297,3 +298,39 @@ def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reas
     assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
     assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]
     assert bound.value.violations == rebound.value.violations
+
+
+@pytest.mark.parametrize(
+    "schedule, reasons",
+    [
+        (ExplicitSchedule((True,)), ["schedule times must be integers >= 0"]),
+        (ExplicitSchedule((0, True)), ["schedule times must be integers >= 0"]),
+        (PeriodicSchedule(True, 2), ["offset must be an integer >= 0"]),
+        (PeriodicSchedule(0, True), ["period must be an integer >= 1"]),
+        (PeriodicSchedule(True, True), ["offset must be an integer >= 0", "period must be an integer >= 1"]),
+    ],
+)
+def test_bool_schedule_is_invalid_everywhere(schedule, reasons):
+    # A bool is an int subclass, but the format writes it as True or False,
+    # which no parser reads back; so no valid network may hold one.
+    network = Network(programmed={"p": schedule}, accept="p")
+    assert validate_network(network) == [f"input p: {reason}" for reason in reasons]
+    with pytest.raises(NetworkFormatError):
+        parse_network(serialize_network(network))
+    with pytest.raises(NetworkFormatError):
+        parse_port_bindings(serialize_port_bindings({"p": schedule}))
+    plan = build_plan(Network(programmed={"p": ExplicitSchedule(())}, accept="p"))
+    with pytest.raises(InvalidNetworkError) as rebound:
+        plan.with_schedules({"p": schedule})
+    with pytest.raises(InvalidNetworkError) as bound:
+        plan.source.bind_schedules({"p": schedule})
+    assert rebound.value.violations == bound.value.violations == validate_network(network)
+
+
+@pytest.mark.parametrize("delay", [True, False])
+def test_bool_delay_is_invalid(delay):
+    # `delay=True` would be written as the default delay and read back as 1.
+    network = Network(
+        neurons=(NeuronSpec("a"),), synapses=(SynapseSpec("a", "a", delay),), accept="a"
+    )
+    assert validate_network(network) == ["synapse a->a: delay must be >= 1"]

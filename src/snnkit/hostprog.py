@@ -170,6 +170,8 @@ def parse_program(text: str):
                     key, eq, value = token.partition("=")
                     if not eq:
                         raise HostProgramError(f"line {lineno}: unexpected token {token!r}")
+                    if key in caps or (key == "inputs" and inputs_file is not None):
+                        raise HostProgramError(f"line {lineno}: duplicate token {key!r}")
                     if key == "inputs":
                         inputs_file = value
                     elif key in ("time", "space", "energy"):

@@ -15,7 +15,8 @@ Numerals are ASCII: an integer is `-?[0-9]+` and a rational is `p` or `p/q`
 with q > 0; anything else (`+2`, `1_0`, non-ASCII digits) is a format error.
 Omitted attributes take the defaults (threshold=1, reset=0, leak=1, delay=1,
 weight=1). Serialization is canonical: parse(serialize(n)) == n for every
-valid network and repeated serialize calls are byte-identical.
+valid network and repeated serialize calls are byte-identical. One parse
+shares each id and each rational text among every line that names it.
 
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``: one ``port=<schedule>`` line per port, where <schedule>
@@ -24,6 +25,7 @@ is ``t1;t2;...`` or ``periodic:<offset>:<period>``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from .model import (
@@ -81,14 +83,6 @@ def _parse_int(value, what, lineno, errors):
         return None
 
 
-def _parse_rat(value, what, lineno, errors):
-    try:
-        return parse_rational(value)
-    except ValueError:
-        errors.append(f"line {lineno}: {what}: malformed rational {value!r}")
-        return None
-
-
 def _parse_times(value, lineno, errors):
     if value == "":
         return ()
@@ -120,6 +114,9 @@ class _Parser:
         self.declared: dict[str, int] = {}
         self.pending_refs: list[tuple[str, str, int]] = []
         self.header_seen = False
+        # One object per id and per rational text, shared by every line naming it.
+        self.names: dict[str, str] = {}
+        self.rationals: dict[str, Fraction] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -128,6 +125,18 @@ class _Parser:
 
     def err(self, lineno: int, message: str) -> None:
         self.errors.append(f"line {lineno}: {message}")
+
+    def ident(self, token: str) -> str:
+        return self.names.setdefault(token, token)
+
+    def _parse_rat(self, value, what, lineno):
+        rat = self.rationals.get(value)
+        if rat is None:
+            try:
+                rat = self.rationals[value] = parse_rational(value)
+            except ValueError:  # not cached, so each bad line reports itself
+                self.err(lineno, f"{what}: malformed rational {value!r}")
+        return rat
 
     def declare(self, name: str, lineno: int) -> bool:
         if not is_valid_id(name):
@@ -158,13 +167,13 @@ class _Parser:
         if not rest:
             self.err(lineno, "neuron needs an id")
             return
-        name = rest[0]
+        name = self.ident(rest[0])
         if not self.declare(name, lineno):
             return
         attrs = _split_attrs(rest[1:], lineno, self.errors, ("threshold", "reset", "leak"))
         params = []
         for key, default in _NEURON_DEFAULTS:
-            value = _parse_rat(attrs[key], key, lineno, self.errors) if key in attrs else None
+            value = self._parse_rat(attrs[key], key, lineno) if key in attrs else None
             params.append(default if value is None else value)
         spec = NeuronSpec(name, *params)
         for reason in neuron_violations(spec):
@@ -175,7 +184,7 @@ class _Parser:
         if not rest:
             self.err(lineno, "input needs an id")
             return
-        name = rest[0]
+        name = self.ident(rest[0])
         if not self.declare(name, lineno):
             return
         if len(rest) >= 2 and rest[1] == "periodic":
@@ -204,7 +213,7 @@ class _Parser:
         if len(rest) < 3 or rest[1] != "->":
             self.err(lineno, "synapse syntax is: synapse <pre> -> <post> [delay=..] [weight=..]")
             return
-        pre, post = rest[0], rest[2]
+        pre, post = self.ident(rest[0]), self.ident(rest[2])
         self.pending_refs.append(("synapse pre", pre, lineno))
         self.pending_refs.append(("synapse post", post, lineno))
         attrs = _split_attrs(rest[3:], lineno, self.errors, ("delay", "weight"))
@@ -219,7 +228,7 @@ class _Parser:
                 return
             delay = value
         if "weight" in attrs:
-            value = _parse_rat(attrs["weight"], "weight", lineno, self.errors)
+            value = self._parse_rat(attrs["weight"], "weight", lineno)
             if value is None:
                 return
             weight = value
@@ -229,7 +238,7 @@ class _Parser:
         if len(rest) != 1:
             self.err(lineno, f"{role} takes exactly one id")
             return
-        name = rest[0]
+        name = self.ident(rest[0])
         self.pending_refs.append((role, name, lineno))
         if getattr(self, role) is not None:
             self.err(lineno, f"duplicate {role} directive")
@@ -249,8 +258,9 @@ class _Parser:
         if len(rest) != 1:
             self.err(lineno, "gadget takes exactly one id")
             return
-        self.pending_refs.append(("gadget", rest[0], lineno))
-        self.gadget_tags.add(rest[0])
+        name = self.ident(rest[0])
+        self.pending_refs.append(("gadget", name, lineno))
+        self.gadget_tags.add(name)
 
     def finish(self) -> Network:
         for what, name, lineno in self.pending_refs:

@@ -1,6 +1,7 @@
 import pytest
 
-from snnkit.hostprog import HostProgramError, build_compiled_network, host_run
+from snnkit.cli import main
+from snnkit.hostprog import HostProgramError, build_compiled_network, host_run, parse_program
 from snnkit.snnfmt import serialize_port_bindings
 from snnkit.model import one_shot
 
@@ -157,6 +158,25 @@ class TestErrors:
         with pytest.raises(HostProgramError, match="must be an integer"):
             host_run("let n = compile array-search --variant a --target 0 --bound 2\n"
                      f"let b = oracle n {caps}\naccept\n")
+
+    @pytest.mark.parametrize("attrs, key", [
+        ("time=1 time=50 space=9 energy=9", "time"),
+        ("time=9 space=9 space=50 energy=9", "space"),
+        ("time=9 space=9 energy=9 energy=50", "energy"),
+        ("inputs=a.in time=9 space=9 energy=9 inputs=b.in", "inputs"),
+    ])
+    def test_repeated_oracle_attribute(self, attrs, key):
+        # A later copy of a cap must not loosen the promise the program states.
+        with pytest.raises(HostProgramError, match=f"line 2: duplicate token '{key}'"):
+            parse_program("let n = compile array-search --variant a --target 0 --bound 2\n"
+                          f"let b = oracle n {attrs}\naccept\n")
+
+    def test_repeated_oracle_cap_exits_2(self, tmp_path, capsys):
+        program = tmp_path / "prog.host"
+        program.write_text("let n = compile array-search --variant a --target 0 --bound 2\n"
+                           "let b = oracle n time=1 time=50 space=9 energy=9\naccept\n")
+        assert main(["host", str(program)]) == 2
+        assert "line 2: duplicate token 'time'" in capsys.readouterr().err
 
     def test_undefined_flag_value(self):
         with pytest.raises(HostProgramError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnkit.engine import build_plan
+from snnkit.randnet import sparse_benchmark_network
 from snnkit.model import (
     ExplicitSchedule,
     InvalidNetworkError,
@@ -334,3 +335,85 @@ def test_bool_delay_is_invalid(delay):
         neurons=(NeuronSpec("a"),), synapses=(SynapseSpec("a", "a", delay),), accept="a"
     )
     assert validate_network(network) == ["synapse a->a: delay must be >= 1"]
+
+
+def _declared_ids(net):
+    """Map each declared id to the object the network holds for it."""
+    declared = {spec.id: spec.id for spec in net.neurons}
+    declared.update((name, name) for name in net.programmed)
+    return declared
+
+
+def _assert_ids_shared(net):
+    declared = _declared_ids(net)
+    for syn in net.synapses:
+        assert syn.pre is declared[syn.pre] and syn.post is declared[syn.post]
+    for name in (net.accept, net.reject, *net.gadget_tags):
+        assert name is None or name is declared[name]
+
+
+def test_one_parse_shares_each_id_object():
+    # Ids longer than one character: CPython shares one-character strings anyway.
+    net = parse_network(
+        "snn 1\n"
+        "synapse early -> later delay=2\n"  # names `later` before its neuron line
+        "neuron early\n"
+        "neuron later threshold=2\n"
+        "input drive schedule=0;1\n"
+        "synapse drive -> early\n"
+        "synapse later -> verdict_no\n"
+        "neuron verdict_no\n"
+        "accept later\n"
+        "reject verdict_no\n"
+        "gadget verdict_no\n"
+    )
+    _assert_ids_shared(net)
+    (first,) = [syn for syn in net.synapses if syn.delay == 2]
+    assert net.accept is first.post  # the object read on line 2
+
+
+def test_equal_rational_texts_share_one_fraction():
+    net = parse_network(
+        "snn 1\n"
+        "neuron aa threshold=3/2 leak=1/2\n"
+        "neuron bb threshold=3/2 reset=1/2\n"
+        "synapse aa -> bb weight=3/2\n"
+        "synapse bb -> aa weight=-7/3\n"
+        "synapse aa -> aa weight=-7/3\n"
+        "accept aa\n"
+    )
+    aa, bb = net.neurons
+    weight = {(syn.pre, syn.post): syn.weight for syn in net.synapses}
+    assert aa.threshold is bb.threshold is weight["aa", "bb"] == Fraction(3, 2)
+    assert aa.leak is bb.reset == Fraction(1, 2)
+    assert weight["bb", "aa"] is weight["aa", "aa"] == Fraction(-7, 3)
+
+
+def test_repeated_malformed_rational_reports_every_line():
+    errors = _errors(
+        "snn 1\n"
+        "neuron aa threshold=1/0\n"
+        "neuron bb threshold=1/0\n"
+        "synapse aa -> bb weight=1/0\n"
+        "accept aa\n"
+    )
+    assert errors == [
+        "line 2: threshold: malformed rational '1/0'",
+        "line 3: threshold: malformed rational '1/0'",
+        "line 4: weight: malformed rational '1/0'",
+    ]
+
+
+@pytest.mark.parametrize("key", range(4))
+def test_sparse_benchmark_network_round_trips_with_shared_objects(key):
+    net = sparse_benchmark_network(200, key)
+    parsed = parse_network(serialize_network(net))
+    assert parsed == net
+    _assert_ids_shared(parsed)
+    # Canonical text writes each value one way, so one object per value.
+    for values in (
+        [spec.threshold for spec in parsed.neurons],
+        [spec.leak for spec in parsed.neurons],
+        [syn.weight for syn in parsed.synapses],
+    ):
+        assert len({id(v) for v in values}) == len(set(values))

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from importlib.machinery import ExtensionFileLoader
 from math import lcm
 from typing import Mapping, NamedTuple
 
 from . import _kernel
 from ._kernel import RULE_DECAYING, RULE_INTEGRATOR, RULE_MEMORYLESS, RULE_PROGRAMMED, Kernel
-from .model import ExplicitSchedule, Network, SpikeSchedule, check_network, checked_bindings
+from .model import ExplicitSchedule, Network, SpikeSchedule, check_network
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -124,11 +123,17 @@ def format_report_line(report: ResourceReport) -> str:
     )
 
 
-def _schedule_entries(k: int, sched: SpikeSchedule) -> list[tuple[int, int, int]]:
-    """Neuron k's schedule as (time, k, period) entries; period 0 fires once."""
-    if isinstance(sched, ExplicitSchedule):
-        return [(t, k, 0) for t in sched.times]
-    return [(sched.offset, k, sched.period)]
+def _spike_heap(programmed: Mapping[str, SpikeSchedule], index: Mapping[str, int]) -> tuple:
+    """The schedules as sorted (time, neuron, period) entries; period 0 fires once."""
+    spikes = []
+    for name, sched in programmed.items():
+        k = index[name]
+        if isinstance(sched, ExplicitSchedule):
+            spikes += [(t, k, 0) for t in sched.times]
+        else:
+            spikes.append((sched.offset, k, sched.period))
+    spikes.sort()
+    return tuple(spikes)
 
 
 @dataclass(frozen=True)
@@ -153,12 +158,11 @@ class Plan:
     the verdict neurons (-1 when absent) and `gadget` 1 for gadget neurons.
     The kernel reads these fields by name.
 
-    `with_schedules` swaps programmed-neuron schedules without planning
-    again, so networks that differ only in their input schedules share one
-    plan's structure: the rebound plan is a copy that shares every planned
-    field with its parent; only `spikes` and `bindings` are new. `source`
-    is the planned network; `network` is the network this plan simulates,
-    i.e. `source` with the rebound schedules.
+    `network` is the network this plan simulates. `with_schedules` swaps
+    programmed-neuron schedules without planning again, so networks that
+    differ only in their input schedules share one plan's structure: the
+    rebound plan is a copy that shares every planned field with its parent;
+    only `network` and `spikes`, read off the rebound network, are new.
     """
 
     ids: tuple[str, ...]
@@ -174,33 +178,20 @@ class Plan:
     accept_idx: int
     reject_idx: int
     gadget: tuple[int, ...]
-    source: Network = field(compare=False, repr=False)
+    network: Network = field(compare=False, repr=False)
     index: Mapping[str, int] = field(compare=False, repr=False)
-    bindings: Mapping[str, SpikeSchedule] = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property
-    def network(self) -> Network:
-        return self.source.bind_schedules(self.bindings)
 
     def with_schedules(self, bindings: Mapping[str, object]) -> "Plan":
         """This plan with the schedules of the named programmed neurons replaced.
 
-        Checks the bindings as `Network.bind_schedules` does, with
-        `checked_bindings`.
+        Rebinds `network` with `Network.bind_schedules`, which checks the bindings.
         """
-        if not bindings:
+        network = self.network.bind_schedules(bindings)
+        if network is self.network:
             return self
-        checked = checked_bindings(self.source.programmed, bindings)
-        rebound = {self.index[name] for name in checked}
-        spikes = [entry for entry in self.spikes if entry[1] not in rebound]
-        for name, sched in checked.items():
-            spikes += _schedule_entries(self.index[name], sched)
-        spikes.sort()
-        # Copy and swap, skipping __init__; a `network` cached here is not the copy's.
-        plan = object.__new__(type(self))
-        state = vars(plan)
-        state.update(vars(self), spikes=tuple(spikes), bindings={**self.bindings, **checked})
-        state.pop("network", None)
+        plan = object.__new__(type(self))  # copy and swap, skipping __init__
+        spikes = _spike_heap(network.programmed, self.index)
+        vars(plan).update(vars(self), spikes=spikes, network=network)
         return plan
 
 
@@ -215,7 +206,6 @@ def build_plan(network: Network) -> Plan:
     leak_nums = [1] * n
     leak_dens = [1] * n
     scale = [1] * n
-    spikes: list[tuple[int, int, int]] = []
     out: list[list[tuple]] = [[] for _ in range(n)]
     for syn in network.synapses:
         den = syn.weight.denominator
@@ -234,10 +224,8 @@ def build_plan(network: Network) -> Plan:
         m, md = spec.leak.as_integer_ratio()
         leak_nums[k], leak_dens[k] = m, md
         kinds[k] = RULE_MEMORYLESS if m == 0 else RULE_INTEGRATOR if m == md else RULE_DECAYING
-    for name, sched in network.programmed.items():
-        k = index[name]
-        kinds[k] = RULE_PROGRAMMED
-        spikes += _schedule_entries(k, sched)
+    for name in network.programmed:
+        kinds[index[name]] = RULE_PROGRAMMED
     for syn in network.synapses:
         post = index[syn.post]
         num, den = syn.weight.as_integer_ratio()
@@ -251,12 +239,12 @@ def build_plan(network: Network) -> Plan:
         leak_nums=tuple(leak_nums),
         leak_dens=tuple(leak_dens),
         scale=tuple(scale),
-        spikes=tuple(sorted(spikes)),
+        spikes=_spike_heap(network.programmed, index),
         out=tuple(tuple(entries) for entries in out),
         accept_idx=index[network.accept] if network.accept is not None else -1,
         reject_idx=index[network.reject] if network.reject is not None else -1,
         gadget=tuple(1 if name in network.gadget_tags else 0 for name in ids),
-        source=network,
+        network=network,
         index=index,
     )
 
@@ -367,9 +355,8 @@ def run(
         time=time,
         energy=sim.energy,
         energy_payload=sim.energy_payload,
-        # Rebinding schedules leaves neurons and synapses as planned.
-        neurons=plan.source.size(),
-        synapses=len(plan.source.synapses),
+        neurons=plan.network.size(),
+        synapses=len(plan.network.synapses),
     )
     return RunResult(report, Trace(tuple(steps), report) if trace else None)
 

@@ -27,42 +27,27 @@ the accept neuron's reset lies below its threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
-from .model import (
-    Network,
-    NetworkBuilder,
-    NeuronSpec,
-    SpikeSchedule,
-    SynapseSpec,
-    one_shot,
-)
+from .model import Network, NetworkBuilder, NeuronSpec, SynapseSpec, one_shot
 
 
 @dataclass(frozen=True)
 class Fragment:
     """A network piece with a named output neuron.
 
-    Fragments carry no accept/reject designation; `merge` composes them
-    (and whole networks) into a runnable network.
+    `network` is the network the fragment's builder built. It carries no
+    accept/reject designation; `merge` composes fragments (and whole
+    networks) into a runnable network.
     """
 
-    neurons: tuple[NeuronSpec, ...] = ()
-    programmed: Mapping[str, SpikeSchedule] = field(default_factory=dict)
-    synapses: tuple[SynapseSpec, ...] = ()
-    output: str = ""
+    network: Network
+    output: str
 
     def to_network(self) -> Network:
-        builder = NetworkBuilder()
-        for spec in self.neurons:
-            builder.add_neuron(spec.id, spec.threshold, spec.reset, spec.leak)
-        for name, sched in self.programmed.items():
-            builder.add_input(name, sched)
-        for syn in self.synapses:
-            builder.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
-        return builder.build(validate=False)
+        return self.network
 
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
@@ -85,14 +70,12 @@ def make_clock(period: int, prefix: str = "clk") -> Fragment:
     """Clock ticking at t = 1, 1+K, 1+2K, ... via a self-synapse of delay K."""
     if period < 1:
         raise ValueError("clock period must be >= 1")
-    seed = f"{prefix}_seed"
-    out = f"{prefix}_out"
-    return Fragment(
-        neurons=(NeuronSpec(out),),
-        programmed={seed: one_shot(0)},
-        synapses=(SynapseSpec(seed, out), SynapseSpec(out, out, delay=period)),
-        output=out,
-    )
+    builder = NetworkBuilder()
+    seed = builder.add_input(f"{prefix}_seed", one_shot(0))
+    out = builder.add_neuron(f"{prefix}_out")
+    builder.add_synapse(seed, out)
+    builder.add_synapse(out, out, delay=period)
+    return Fragment(builder.build(validate=False), out)
 
 
 def make_number(value: int, period: int, prefix: str = "num") -> Fragment:
@@ -106,13 +89,11 @@ def make_number(value: int, period: int, prefix: str = "num") -> Fragment:
     if value >= period:
         raise ValueError("encoded value must be < the clock period")
     clock = make_clock(period, prefix=f"{prefix}_clk")
-    out = f"{prefix}_out"
-    return Fragment(
-        neurons=clock.neurons + (NeuronSpec(out),),
-        programmed=dict(clock.programmed),
-        synapses=clock.synapses + (SynapseSpec(clock.output, out, delay=value + 1),),
-        output=out,
-    )
+    builder = NetworkBuilder()
+    builder.add_network(clock.network)
+    out = builder.add_neuron(f"{prefix}_out")
+    builder.add_synapse(clock.output, out, delay=value + 1)
+    return Fragment(builder.build(validate=False), out)
 
 
 def _guard_builder(network: Network, gadget: str) -> NetworkBuilder:
@@ -221,7 +202,7 @@ def merge(
     """
     builder = NetworkBuilder()
     for part in parts:
-        builder.add_network(part.to_network() if isinstance(part, Fragment) else part)
+        builder.add_network(part.network if isinstance(part, Fragment) else part)
     for syn in cross_synapses:
         builder.add_synapse(syn.pre, syn.post, syn.delay, syn.weight)
     builder.set_accept(accept)

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .harness import (
     ACCEPTED,
     COMPILE_FLAGS,
     PROMISE_VIOLATED,
     REJECTED,
-    OracleAnswer,
     ResourceCaps,
     compile_from_flags,
     network_halting_oracle,
@@ -204,7 +203,6 @@ def parse_program(text: str):
 def host_run(
     text: str,
     base_dir: str | Path = ".",
-    oracle: Callable[..., OracleAnswer] = network_halting_oracle,
     max_ops: int = 100_000,
 ) -> HostResult:
     """Execute a host program; return the final verdict and the call log."""
@@ -237,7 +235,7 @@ def host_run(
                 except (OSError, ValueError) as exc:
                     raise HostProgramError(f"line {instr.lineno}: {exc}") from None
             try:
-                answer = oracle(networks[instr.network], instr.caps, inputs)
+                answer = network_halting_oracle(networks[instr.network], instr.caps, inputs)
             except KeyError as exc:
                 raise HostProgramError(f"line {instr.lineno}: {exc.args[0]}") from None
             bits[instr.bit] = answer.outcome

@@ -27,6 +27,9 @@ _LEAKS = (
     Fraction(3, 4),
 )
 
+# Synapses out of each body neuron of a sparse benchmark network; a driver has twice as many.
+_SPARSE_FANOUT = 3
+
 
 def _random_schedule(rng: Random):
     if rng.random() < 0.5:
@@ -93,7 +96,7 @@ def random_network(
     )
 
 
-def sparse_benchmark_network(neurons: int, seed: int, fanout: int = 3) -> Network:
+def sparse_benchmark_network(neurons: int, seed: int) -> Network:
     """A large sparse network with sustained activity and a fixed step count.
 
     Built for wall-clock scaling measurements: integer weights and leaks in
@@ -128,7 +131,7 @@ def sparse_benchmark_network(neurons: int, seed: int, fanout: int = 3) -> Networ
     }
     synapses = []
     for name in body:
-        for _ in range(fanout):
+        for _ in range(_SPARSE_FANOUT):
             synapses.append(
                 SynapseSpec(
                     name,
@@ -138,7 +141,7 @@ def sparse_benchmark_network(neurons: int, seed: int, fanout: int = 3) -> Networ
                 )
             )
     for name in programmed:
-        for _ in range(fanout * 2):
+        for _ in range(_SPARSE_FANOUT * 2):
             synapses.append(
                 SynapseSpec(
                     name,

@@ -157,11 +157,11 @@ class _Parser:
                 self.header_seen = True  # report once, keep parsing
             return
         keyword = tokens[0]
-        handler = getattr(self, f"_kw_{keyword}", None)
+        handler = _DIRECTIVES.get(keyword)
         if handler is None:
             self.err(lineno, f"unknown directive {keyword!r}")
             return
-        handler(lineno, tokens[1:])
+        handler(self, lineno, tokens[1:])
 
     def _kw_neuron(self, lineno, rest):
         if not rest:
@@ -281,6 +281,17 @@ class _Parser:
         if residual:
             raise NetworkFormatError(residual)
         return network
+
+
+# Each directive's handler, looked up by keyword: no name string is built per line.
+_DIRECTIVES = {
+    "neuron": _Parser._kw_neuron,
+    "input": _Parser._kw_input,
+    "synapse": _Parser._kw_synapse,
+    "accept": _Parser._kw_accept,
+    "reject": _Parser._kw_reject,
+    "gadget": _Parser._kw_gadget,
+}
 
 
 def _line_number(message: str) -> int:

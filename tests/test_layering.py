@@ -5,9 +5,10 @@ compiler registry and the equivalence sweep. Problem families (array search
 in `arraysearch`) build on it and register their compilers with it, so the
 harness may import the machine layers beneath it but no family. The gadgets
 build their networks through `NetworkBuilder`, and the rules for a
-well-formed neuron and schedule are written once, in `model`. The port rule
-of a compiled structure is written once, in `harness`, and generator cost is
-read off the generated network, so no module needs a builder of its own.
+well-formed neuron and schedule, and for rebinding a schedule, are written
+once, in `model`. The port rule of a compiled structure is written once, in
+`harness`, and generator cost is read off the generated network, so no
+module needs a builder of its own.
 These checks read the sources as text and import nothing.
 """
 
@@ -74,6 +75,26 @@ def test_gadgets_build_through_the_builder():
 
 def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    """Names called in `tree`, as a bare name or as an attribute."""
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_gadgets_construct_no_synapse():
+    assert "SynapseSpec" not in _called_names(_trees()["gadgets"])
+
+
+def test_binding_rule_is_called_in_model_only():
+    callers = {
+        module for module, tree in _trees().items() if "checked_bindings" in _called_names(tree)
+    }
+    assert callers == {"model"}
 
 
 def test_port_rule_lives_in_harness_only():

@@ -74,7 +74,7 @@ def test_rebound_plan_runs_like_the_built_network(variant):
 
 
 # Every Plan field that rebinding leaves as planned.
-_PLANNED_FIELDS = tuple(f.name for f in fields(Plan) if f.name not in ("spikes", "bindings"))
+_PLANNED_FIELDS = tuple(f.name for f in fields(Plan) if f.name not in ("spikes", "network"))
 
 
 def _two_port_network():
@@ -136,7 +136,7 @@ class TestWithSchedules:
         plan = parent.with_schedules({"p": [2]})
         assert plan.network == net.bind_schedules({"p": [2]}) != net
         assert vars(parent) == state and parent.network is net
-        assert plan.spikes != parent.spikes and plan.bindings == {"p": ExplicitSchedule((2,))}
+        assert plan.spikes != parent.spikes and plan.network.programmed["p"] == ExplicitSchedule((2,))
 
     def test_rebound_plan_shares_every_planned_field(self):
         net = _two_port_network()

@@ -1,3 +1,6 @@
+import gc
+import inspect
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from snnkit.model import (
 )
 from snnkit.snnfmt import (
     NetworkFormatError,
+    _Parser,
     parse_network,
     parse_port_bindings,
     serialize_network,
@@ -294,7 +298,7 @@ def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reas
     with pytest.raises(InvalidNetworkError) as rebound:
         plan.with_schedules({"p": schedule})
     with pytest.raises(InvalidNetworkError) as bound:
-        plan.source.bind_schedules({"p": schedule})
+        plan.network.bind_schedules({"p": schedule})
     assert snn.value.errors == [f"line 2: {reason}" for reason in reasons]
     assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
     assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]
@@ -324,7 +328,7 @@ def test_bool_schedule_is_invalid_everywhere(schedule, reasons):
     with pytest.raises(InvalidNetworkError) as rebound:
         plan.with_schedules({"p": schedule})
     with pytest.raises(InvalidNetworkError) as bound:
-        plan.source.bind_schedules({"p": schedule})
+        plan.network.bind_schedules({"p": schedule})
     assert rebound.value.violations == bound.value.violations == validate_network(network)
 
 
@@ -417,3 +421,27 @@ def test_sparse_benchmark_network_round_trips_with_shared_objects(key):
         [syn.weight for syn in parsed.synapses],
     ):
         assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_directive_dispatch_keeps_no_per_line_allocation():
+    # A per-line object made by the dispatch (such as an attribute name built
+    # for `getattr`) can stay referenced by the interpreter's method cache.
+    text = serialize_network(sparse_benchmark_network(1000, 0))
+    source = inspect.getsourcefile(_Parser.line)
+    lines, first = inspect.getsourcelines(_Parser.line)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = parse_network(text)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = [
+        stat
+        for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename == source
+        and first <= stat.traceback[0].lineno < first + len(lines)
+    ]
+    assert network.size() == 1000
+    assert kept == []

@@ -16,7 +16,8 @@ with q > 0; anything else (`+2`, `1_0`, non-ASCII digits) is a format error.
 Omitted attributes take the defaults (threshold=1, reset=0, leak=1, delay=1,
 weight=1). Serialization is canonical: parse(serialize(n)) == n for every
 valid network and repeated serialize calls are byte-identical. One parse
-shares each id and each rational text among every line that names it.
+shares each id and each rational text among every line that names it, and
+reads each distinct well-formed neuron and synapse attribute tail once.
 
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``: one ``port=<schedule>`` line per port, where <schedule>
@@ -117,11 +118,13 @@ class _Parser:
         # One object per id and per rational text, shared by every line naming it.
         self.names: dict[str, str] = {}
         self.rationals: dict[str, Fraction] = {}
+        # What each attribute tail parsed to, kept only from lines with no error.
+        self.neuron_tails: dict[tuple[str, ...], list[Fraction]] = {}
+        self.synapse_tails: dict[tuple[str, ...], tuple[int, Fraction]] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            self.line(lineno, line.split())
+            tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if tokens:
+                self.line(lineno, tokens)
 
     def err(self, lineno: int, message: str) -> None:
         self.errors.append(f"line {lineno}: {message}")
@@ -170,7 +173,13 @@ class _Parser:
         name = self.ident(rest[0])
         if not self.declare(name, lineno):
             return
-        attrs = _split_attrs(rest[1:], lineno, self.errors, ("threshold", "reset", "leak"))
+        tail = tuple(rest[1:])
+        params = self.neuron_tails.get(tail)
+        if params is not None:
+            self.neurons.append(NeuronSpec(name, *params))
+            return
+        before = len(self.errors)
+        attrs = _split_attrs(tail, lineno, self.errors, ("threshold", "reset", "leak"))
         params = []
         for key, default in _NEURON_DEFAULTS:
             value = self._parse_rat(attrs[key], key, lineno) if key in attrs else None
@@ -178,6 +187,8 @@ class _Parser:
         spec = NeuronSpec(name, *params)
         for reason in neuron_violations(spec):
             self.err(lineno, reason)
+        if len(self.errors) == before:
+            self.neuron_tails[tail] = params
         self.neurons.append(spec)
 
     def _kw_input(self, lineno, rest):
@@ -214,9 +225,18 @@ class _Parser:
             self.err(lineno, "synapse syntax is: synapse <pre> -> <post> [delay=..] [weight=..]")
             return
         pre, post = self.ident(rest[0]), self.ident(rest[2])
-        self.pending_refs.append(("synapse pre", pre, lineno))
-        self.pending_refs.append(("synapse post", post, lineno))
-        attrs = _split_attrs(rest[3:], lineno, self.errors, ("delay", "weight"))
+        # An id declared by now stays declared, so only later ones need a check.
+        if pre not in self.declared:
+            self.pending_refs.append(("synapse pre", pre, lineno))
+        if post not in self.declared:
+            self.pending_refs.append(("synapse post", post, lineno))
+        tail = tuple(rest[3:])
+        params = self.synapse_tails.get(tail)
+        if params is not None:
+            self.synapses.append(SynapseSpec(pre, post, *params))
+            return
+        before = len(self.errors)
+        attrs = _split_attrs(tail, lineno, self.errors, ("delay", "weight"))
         delay = DEFAULT_DELAY
         weight = DEFAULT_WEIGHT
         if "delay" in attrs:
@@ -232,6 +252,8 @@ class _Parser:
             if value is None:
                 return
             weight = value
+        if len(self.errors) == before:
+            self.synapse_tails[tail] = delay, weight
         self.synapses.append(SynapseSpec(pre, post, delay, weight))
 
     def _designate(self, role, lineno, rest):

@@ -8,7 +8,8 @@ build their networks through `NetworkBuilder`, and the rules for a
 well-formed neuron and schedule, and for rebinding a schedule, are written
 once, in `model`. The port rule of a compiled structure is written once, in
 `harness`, and generator cost is read off the generated network, so no
-module needs a builder of its own.
+module needs a builder of its own. The `.snn` parser keeps its caches on the
+parser object, so none outlives one parse.
 These checks read the sources as text and import nothing.
 """
 
@@ -137,3 +138,24 @@ def test_neuron_and_schedule_rules_live_in_model_only():
         text = path.read_text()
         for reason in RULE_REASONS:
             assert bool(re.search(reason, text)) == (path.stem == "model"), (path.name, reason)
+
+
+def test_parse_caches_live_on_the_parser():
+    # A container assigned in the module or in a class body would outlive one parse.
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    builders = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    module = _trees()["snnfmt"].body
+    statements = module + [node for cls in module if isinstance(cls, ast.ClassDef) for node in cls.body]
+    assigned = set()
+    for node in statements:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, containers) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in builders
+        ):
+            assigned.update(getattr(target, "id", None) for target in targets)
+    assert assigned == {"_DIRECTIVES"}

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import inspect
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -445,3 +447,181 @@ def test_directive_dispatch_keeps_no_per_line_allocation():
     ]
     assert network.size() == 1000
     assert kept == []
+
+
+# One parse reads each well-formed attribute tail once; these check that the
+# reuse reports and adds exactly what reading every line afresh would.
+
+
+@pytest.mark.parametrize(
+    "tail, reason",
+    [
+        ("threshold=-1", "threshold must be >= 0"),
+        ("leak=3/2", "leak must be in [0, 1]"),
+        ("bogus=1", "unexpected token 'bogus=1'"),
+        ("reset=1 reset=1", "duplicate attribute 'reset'"),
+    ],
+)
+def test_repeated_malformed_neuron_tail_reports_every_line(tail, reason):
+    errors = _errors(
+        "snn 1\n"
+        "neuron ok reset=1\n"  # a well-formed tail that starts like the last case
+        f"neuron aa {tail}\n"
+        f"neuron bb {tail}\n"
+        f"neuron cc {tail}\n"
+        "accept ok\n"
+    )
+    assert errors == [f"line {n}: {reason}" for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "tail, reason, added",
+    [
+        ("delay=0", "delay must be >= 1", 0),
+        ("delay=x", "delay must be an integer, got 'x'", 0),
+        ("weight=1/0", "weight: malformed rational '1/0'", 0),
+        ("weight=2 colour=red", "unexpected token 'colour=red'", 3),
+    ],
+)
+def test_repeated_malformed_synapse_tail_reports_every_line(tail, reason, added):
+    text = (
+        "snn 1\n"
+        "neuron aa\n"
+        "synapse aa -> aa weight=2\n"  # a well-formed tail that starts like the last case
+        f"synapse aa -> aa {tail}\n"
+        f"synapse aa -> aa {tail}\n"
+        f"synapse aa -> aa {tail}\n"
+        "accept aa\n"
+    )
+    assert _errors(text) == [f"line {n}: {reason}" for n in (4, 5, 6)]
+    # A stray token is reported but does not stop its line's synapse.
+    assert _Parser(text).synapses == [SynapseSpec("aa", "aa", 1, Fraction(2))] * (1 + added)
+
+
+def test_tail_on_a_line_with_a_bad_id_reports_the_id_and_adds_no_neuron():
+    text = (
+        "snn 1\n"
+        "neuron aa\n"
+        "neuron aa reset=1/3\n"  # the tail's first line has a duplicate id
+        "neuron a-b leak=1/4\n"  # and this one's an invalid id
+        "neuron bb reset=1/3\n"
+        "neuron cc leak=1/4\n"
+        "neuron dd threshold=2\n"
+        "neuron dd threshold=2\n"  # a tail read before, on a duplicate id
+        "neuron c-d threshold=2\n"
+        "accept aa\n"
+    )
+    parser = _Parser(text)
+    assert parser.neurons == [
+        NeuronSpec("aa"),
+        NeuronSpec("bb", reset=Fraction(1, 3)),
+        NeuronSpec("cc", leak=Fraction(1, 4)),
+        NeuronSpec("dd", threshold=Fraction(2)),
+    ]
+    assert _errors(text) == [
+        "line 3: duplicate id 'aa' (first declared on line 2)",
+        "line 4: invalid id 'a-b'",
+        "line 8: duplicate id 'dd' (first declared on line 7)",
+        "line 9: invalid id 'c-d'",
+    ]
+
+
+def test_synapse_ids_are_checked_on_every_line_with_a_repeated_tail():
+    declared_later = parse_network(
+        "snn 1\nneuron aa\nsynapse aa -> bb weight=2\nsynapse bb -> aa weight=2\nneuron bb\naccept aa\n"
+    )
+    assert [(syn.pre, syn.post) for syn in declared_later.synapses] == [("aa", "bb"), ("bb", "aa")]
+    errors = _errors(
+        "snn 1\n"
+        "neuron aa\n"
+        "synapse aa -> zz weight=2\n"
+        "neuron bb\n"
+        "synapse bb -> zz weight=2\n"
+        "synapse aa -> zz\n"
+        "synapse zz -> bb weight=2\n"
+        "accept aa\n"
+    )
+    assert errors == [
+        "line 3: synapse post names unknown id 'zz'",
+        "line 5: synapse post names unknown id 'zz'",
+        "line 6: synapse post names unknown id 'zz'",
+        "line 7: synapse pre names unknown id 'zz'",
+    ]
+
+
+# Bad tokens drawn like those of test_parser_fuzz.py, but kept here so that
+# the pin below does not move with them. Numerals stay short: how int()
+# treats very long digit strings differs between interpreter releases.
+_BAD_VALUES = [
+    "", "-1", "1/0", "2/-3", "0x10", "1e3", "1_0", "٣", "x", "1;2", "2;1", ";", "1;;2",
+    "periodic:0:1", "9" * 30,
+]
+_BAD_IDS = ["", "->", "é", "a-b", "unknown"]
+_BAD_WORDS = ["->", "=", "é", "periodic", "goto", "colour=red", "reset=1"]
+_GOOD_IDS = ["a", "b", "acc", "a_1", "rej", "n0", "n1", "n2", "n3", "n4"]
+_GOOD_VALUES = {
+    "threshold": ["0", "1", "2", "1/2", "5/3"],
+    "reset": ["0", "1", "1/3"],
+    "leak": ["0", "1", "1/2", "3/4"],
+    "delay": ["1", "2", "3"],
+    "weight": ["1", "2", "-1", "1/2", "-7/3"],
+    "schedule": ["", "0", "2", "0;3;4"],
+    "offset": ["0", "1", "3"],
+    "period": ["1", "2", "5"],
+}
+
+
+def _corpus_text(rng: random.Random) -> str:
+    """A short `.snn` text, clean or noisy, whose lines share a few attribute tails."""
+    noise = rng.choice([0.0, 0.0, 0.05, 0.3])
+
+    def pick(good, bad):
+        return rng.choice(bad if rng.random() < noise else good)
+
+    def tail(*keys):
+        chosen = rng.sample(keys, rng.randrange(len(keys) + 1))
+        words = [f"{key}={pick(_GOOD_VALUES[key], _BAD_VALUES)}" for key in chosen]
+        if rng.random() < noise:
+            words.insert(rng.randrange(len(words) + 1), rng.choice(_BAD_WORDS))
+        return words
+
+    ids = rng.sample(_GOOD_IDS, rng.randrange(2, 7))
+    neuron_tails = [tail("threshold", "reset", "leak") for _ in range(3)]
+    synapse_tails = [tail("delay", "weight") for _ in range(3)]
+    body = []
+    for name in ids:
+        if rng.random() < 0.2:
+            schedule = rng.choice([["periodic", *tail("offset", "period")], tail("schedule")])
+            body.append(["input", pick([name], _BAD_IDS), *schedule])
+        else:
+            body.append(["neuron", pick([name], _BAD_IDS), *rng.choice(neuron_tails)])
+    for _ in range(rng.randrange(12)):
+        arrow = pick(["->"], ["-", "=>"])
+        body.append(["synapse", pick(ids, _BAD_IDS), arrow, pick(ids, _BAD_IDS), *rng.choice(synapse_tails)])
+    body += [[role, pick(ids, _BAD_IDS)] for role in ("accept", "reject", "gadget") if rng.random() < 0.5]
+    if rng.random() < 0.3:
+        rng.shuffle(body)  # ids named before the lines that declare them
+    lines = [pick(["snn 1", " snn\t1 # header"], ["snn 2", "neuron a"])]
+    for words in body:
+        line = rng.choice([" ", " ", "\t", "  "]).join(words)
+        lines.append(f"  {line} # note" if rng.random() < 0.1 else line)
+        if rng.random() < noise:
+            lines.append(rng.choice([line, "", "# comment"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_outcomes_match_a_parser_without_tail_reuse():
+    # The pin was computed with the parser from before attribute tails were
+    # reused, which read every tail afresh; any changed outcome moves it.
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    parsed = 0
+    for _ in range(2000):
+        try:
+            outcome = "network\n" + serialize_network(parse_network(_corpus_text(rng)))
+            parsed += 1
+        except NetworkFormatError as exc:
+            outcome = "errors\n" + "\n".join(exc.errors)
+        digest.update(outcome.encode() + b"\0")
+    assert parsed == 633
+    assert digest.hexdigest() == "328041f85da1a2eac40da61f4aa717528d9225c3ad4651d5f918b6c715e2b787"

@@ -11,7 +11,8 @@ potential as N/Q in units of 1/L_k. Q is 1 unless the neuron leaks by p/q
 with q > 1, when it is q**e for the e steps of decay since the potential
 was last reset, clamped or zero; it is never reduced, so no step computes a
 gcd. Only `potential_pairs` and `pending_pairs`, which serve inspection,
-divide by L_k (and Q) and reduce.
+divide by L_k (and Q), and they return the pairs unreduced: `Simulation`
+reduces each one once, by building a `Fraction` from it.
 
 The step loop is event-driven and makes one pass over one map: the slot of
 summed deliveries for step t. It branches once per neuron on the plan's rule
@@ -39,7 +40,6 @@ is exact and order-independent.
 """
 
 from heapq import heappop, heappush
-from math import gcd
 
 VERDICT_NONE = 0
 VERDICT_ACCEPT = 1
@@ -196,8 +196,8 @@ class Kernel:
     def potential_pairs(self):
         """Materialize end-of-last-step potentials for regular neurons.
 
-        Each is a reduced (numerator, denominator) pair in the network's
-        own units.
+        Each is an unreduced (numerator, denominator > 0) pair in the
+        network's own units: N and Q·L_k, brought to the last step.
         """
         tm = self.t - 1
         pairs = []
@@ -211,15 +211,13 @@ class Kernel:
             if nu and dt > 0:
                 nu *= self.mn[k] ** dt
                 du *= self.md[k] ** dt
-            g = gcd(nu, du)
-            pairs.append((nu // g, du // g))
+            pairs.append((nu, du))
         return pairs
 
     def pending_pairs(self):
-        """Snapshot of undelivered inputs: {(arrival, idx): (num, den)}, reduced."""
+        """Snapshot of undelivered inputs: {(arrival, idx): (w, L_k)}, unreduced."""
         snapshot = {}
         for arrival, slot in self.bucket.items():
             for k, w in slot.items():
-                g = gcd(w, self.scale[k])
-                snapshot[(arrival, k)] = (w // g, self.scale[k] // g)
+                snapshot[(arrival, k)] = (w, self.scale[k])
         return snapshot

@@ -19,8 +19,9 @@ and every weight into it; the plan stores threshold, reset and incoming
 weights multiplied by L_k. Since max(0, .) and >= commute with positive
 scaling, this is exact. The kernel keeps a potential as N/Q in units of
 1/L_k, where Q = q**e accumulates a leak p/q without ever being reduced, so
-no step computes a gcd; only `Simulation.potentials` and `Simulation.pending`
-divide by L_k (and Q) and reduce.
+no step computes a gcd. For `Simulation.potentials` and `Simulation.pending`
+the kernel divides out L_k (and Q) and hands back unreduced integer pairs;
+building a `Fraction` from each pair is the one reduction.
 
 One kernel source, snnkit/_kernel.py, executes the inner loop. Where
 Cython is installed, setup.py compiles that same file into an extension

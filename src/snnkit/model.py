@@ -271,6 +271,11 @@ def schedule_violations(sched: object) -> tuple[str, ...]:
     return reasons
 
 
+def delay_violations(delay: object) -> tuple[str, ...]:
+    """Reasons a synapse delay breaks the model; () when it is an int >= 1."""
+    return () if type(delay) is int and delay >= 1 else ("delay must be >= 1",)
+
+
 def checked_bindings(
     programmed: Mapping[str, object], bindings: Mapping[str, object]
 ) -> dict[str, SpikeSchedule]:
@@ -319,7 +324,7 @@ def validate_network(network: Network) -> list[str]:
         for reason in schedule_violations(sched):
             out.append(f"input {name}: {reason}")
     for syn in network.synapses:
-        bad_delay = type(syn.delay) is not int or syn.delay < 1
+        bad_delay = delay_violations(syn.delay)
         if not bad_delay and syn.pre in seen and syn.post in seen:
             continue
         label = f"synapse {syn.pre}->{syn.post}"
@@ -327,8 +332,8 @@ def validate_network(network: Network) -> list[str]:
             out.append(f"{label}: unknown pre neuron {syn.pre!r}")
         if syn.post not in seen:
             out.append(f"{label}: unknown post neuron {syn.post!r}")
-        if bad_delay:
-            out.append(f"{label}: delay must be >= 1")
+        for reason in bad_delay:
+            out.append(f"{label}: {reason}")
     for role, name in (("accept", network.accept), ("reject", network.reject)):
         if name is not None and name not in seen:
             out.append(f"{role} names unknown neuron {name!r}")

@@ -19,6 +19,9 @@ valid network and repeated serialize calls are byte-identical. One parse
 shares each id and each rational text among every line that names it, and
 reads each distinct well-formed neuron and synapse attribute tail once.
 
+The line rules, which apply `model`'s rules as each line is read, are the
+one check of `.snn` text; `engine.Simulation` still validates before stepping.
+
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``: one ``port=<schedule>`` line per port, where <schedule>
 is ``t1;t2;...`` or ``periodic:<offset>:<period>``.
@@ -41,13 +44,13 @@ from .model import (
     PeriodicSchedule,
     SpikeSchedule,
     SynapseSpec,
+    delay_violations,
     format_rational,
     is_valid_id,
     neuron_violations,
     parse_int,
     parse_rational,
     schedule_violations,
-    validate_network,
 )
 
 HEADER = "snn 1"
@@ -96,9 +99,8 @@ def _parse_times(value, lineno, errors):
     return tuple(times)
 
 
-def _schedule_ok(sched, lineno, errors):
-    """Note each model rule the schedule breaks; True when it breaks none."""
-    reasons = schedule_violations(sched)
+def _rules_hold(reasons, lineno, errors):
+    """Note each model rule `reasons` names as broken; True when it names none."""
     errors.extend(f"line {lineno}: {reason}" for reason in reasons)
     return not reasons
 
@@ -185,8 +187,7 @@ class _Parser:
             value = self._parse_rat(attrs[key], key, lineno) if key in attrs else None
             params.append(default if value is None else value)
         spec = NeuronSpec(name, *params)
-        for reason in neuron_violations(spec):
-            self.err(lineno, reason)
+        _rules_hold(neuron_violations(spec), lineno, self.errors)
         if len(self.errors) == before:
             self.neuron_tails[tail] = params
         self.neurons.append(spec)
@@ -217,7 +218,7 @@ class _Parser:
             if times is None:
                 return
             sched = ExplicitSchedule(times)
-        if _schedule_ok(sched, lineno, self.errors):
+        if _rules_hold(schedule_violations(sched), lineno, self.errors):
             self.programmed[name] = sched
 
     def _kw_synapse(self, lineno, rest):
@@ -240,13 +241,9 @@ class _Parser:
         delay = DEFAULT_DELAY
         weight = DEFAULT_WEIGHT
         if "delay" in attrs:
-            value = _parse_int(attrs["delay"], "delay", lineno, self.errors)
-            if value is None:
+            delay = _parse_int(attrs["delay"], "delay", lineno, self.errors)
+            if delay is None or not _rules_hold(delay_violations(delay), lineno, self.errors):
                 return
-            if value < 1:
-                self.err(lineno, "delay must be >= 1")
-                return
-            delay = value
         if "weight" in attrs:
             value = self._parse_rat(attrs["weight"], "weight", lineno)
             if value is None:
@@ -291,7 +288,7 @@ class _Parser:
         self.errors.sort(key=_line_number)
         if self.errors:
             raise NetworkFormatError(self.errors)
-        network = Network(
+        return Network(
             neurons=tuple(self.neurons),
             programmed=self.programmed,
             synapses=tuple(self.synapses),
@@ -299,10 +296,6 @@ class _Parser:
             reject=self.reject,
             gadget_tags=frozenset(self.gadget_tags),
         )
-        residual = validate_network(network)  # backstop; line checks should cover everything
-        if residual:
-            raise NetworkFormatError(residual)
-        return network
 
 
 # Each directive's handler, looked up by keyword: no name string is built per line.
@@ -317,16 +310,14 @@ _DIRECTIVES = {
 
 
 def _line_number(message: str) -> int:
-    if message.startswith("line "):
-        return int(message[5:].split(":", 1)[0])
-    return 1 << 30
+    return int(message[5:].split(":", 1)[0])  # every message starts "line N: "
 
 
 def parse_network(text: str) -> Network:
-    """Parse `.snn` text into a validated Network.
+    """Parse `.snn` text into a Network that breaks no model rule.
 
     Raises NetworkFormatError carrying every violation found, each with the
-    line number it was detected on.
+    line number it was detected on; no second validation pass follows.
     """
     return _Parser(text).finish()
 
@@ -402,7 +393,7 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
             if times is None:
                 continue
             sched = ExplicitSchedule(times)
-        if _schedule_ok(sched, lineno, errors):
+        if _rules_hold(schedule_violations(sched), lineno, errors):
             bindings[name] = sched
     if errors:
         raise NetworkFormatError(errors)

@@ -165,6 +165,13 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: encode_input("b", bound=4, target=-1), TARGET),
         (lambda: encode_input("c", bound=4, target=4, elements=(1,)), TARGET),
         (lambda: encode_input("c", bound=4, target=0, elements=(1, 4)), ELEMENT),
+        (lambda: compile_search_full_input(-1, 4), "size must be >= 0"),
+        (lambda: encode_input("b", bound=4, target=1, elements=(1,)),
+         "variant b encodes exactly the target value"),
+        (lambda: encode_input("c", bound=4, target=1),
+         "variant c encodes the elements and the target value"),
+        (lambda: encode_input("a", bound=4, target=1), "no input encoding for variant 'a'"),
+        (lambda: payload_energy_bound("d", 1), "unknown variant 'd'"),
     ],
 )
 def test_each_broken_range_rule_names_itself(call, message):

@@ -148,6 +148,17 @@ class TestGadget:
         assert code == 2
         assert "--period" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["number", "--value", "2"], "error: gadget number needs --value and --period\n"),
+            (["timer", "--bound", "3"], "error: gadget timer needs --bound and --attach\n"),
+        ],
+    )
+    def test_missing_gadget_flags_are_usage_errors(self, argv, message, capsys):
+        code, out, err = run_cli(["gadget", *argv], capsys)
+        assert (code, out, err) == (2, "", message)
+
 
 class TestCompile:
     def test_variant_a_pipeline(self, tmp_path, capsys, monkeypatch):

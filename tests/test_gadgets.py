@@ -122,6 +122,10 @@ def _accept_only_network():
 
 
 class TestTimer:
+    def test_rejects_negative_bound(self):
+        with pytest.raises(ValueError, match="t_bound must be >= 0"):
+            attach_timer(_accept_only_network(), -1)
+
     def test_forces_reject_at_deadline(self):
         aug = attach_timer(_accept_only_network(), 4)
         report, trace = run(aug, RunLimits(10), trace=True)

@@ -95,6 +95,19 @@ class TestResourceBound:
         with pytest.raises(ValueError, match=f"{slot} bound is declared for {other}"):
             ResourceBounds(**slots)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ResourceBound("time", "cubic", (1,)), "unknown bound kind 'cubic'"),
+            (lambda: ResourceBound("time", "linear", ()), "bound needs at least one coefficient"),
+            (lambda: ResourceBound.constant(1, "time").evaluate(-1), "input size must be >= 0"),
+        ],
+    )
+    def test_malformed_bound_or_size_names_itself(self, make, message):
+        with pytest.raises(ValueError) as error:
+            make()
+        assert str(error.value) == message
+
     def test_caps_floor(self):
         bounds = ResourceBounds(
             time=ResourceBound.linear(Fraction(1, 2), 1, "time"),
@@ -415,6 +428,16 @@ class TestVerifyEquivalence:
         register_compiler(replace(entry, **{missing: None}))
         with pytest.raises(ValueError, match="no split and compile"):
             verify_equivalence("array-search-b-whole", Domain(max_len=1, max_val=2))
+
+    def test_entry_without_domain_enumeration_is_refused(self):
+        with pytest.raises(ValueError, match="'constant-accept' does not support domain enumeration"):
+            verify_equivalence("constant-accept", Domain(1, 2))
+
+    def test_random_instances_need_a_sampler(self):
+        entry = replace(get_compiler("array-search-b"), name="array-search-b-unsampled", from_flags=None)
+        register_compiler(replace(entry, sample=None))
+        with pytest.raises(ValueError, match="'array-search-b-unsampled' does not support random sampling"):
+            verify_equivalence("array-search-b-unsampled", Domain(1, 2, random_instances=1))
 
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_swept_report_equals_per_instance_loop(self, variant):

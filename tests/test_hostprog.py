@@ -178,6 +178,31 @@ class TestErrors:
         assert main(["host", str(program)]) == 2
         assert "line 2: duplicate token 'time'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("let x = oracle", "line 2: oracle needs a network name"),
+        ("let x = oracle n time", "line 2: unexpected token 'time'"),
+        ("let x = oracle n foo=1 time=1 space=1 energy=1", "line 2: unexpected token 'foo=1'"),
+        ("let x = frob n", "line 2: let binds compile or oracle, not 'frob'"),
+    ])
+    def test_malformed_let_names_its_line(self, line, message):
+        with pytest.raises(HostProgramError) as error:
+            parse_program("let n = compile array-search --variant a --target 0 --bound 2\n"
+                          f"{line}\naccept\n")
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("inputs, message", [
+        (None, "line 2: [Errno 2] No such file or directory"),
+        ("zz=1\n", "line 2: no programmed neuron 'zz' to bind"),
+    ])
+    def test_bad_inputs_file_names_its_line(self, tmp_path, inputs, message):
+        if inputs is not None:
+            (tmp_path / "value.in").write_text(inputs)
+        program = ("let n = compile array-search --variant b --array 3,5,7 --bound 8\n"
+                   "let b = oracle n inputs=value.in time=20 space=8 energy=8\naccept\n")
+        with pytest.raises(HostProgramError) as error:
+            host_run(program, base_dir=tmp_path)
+        assert str(error.value).startswith(message)
+
     def test_undefined_flag_value(self):
         with pytest.raises(HostProgramError):
             host_run("let n = compile array-search --variant a --target\naccept\n")

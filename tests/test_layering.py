@@ -5,11 +5,11 @@ compiler registry and the equivalence sweep. Problem families (array search
 in `arraysearch`) build on it and register their compilers with it, so the
 harness may import the machine layers beneath it but no family. The gadgets
 build their networks through `NetworkBuilder`, and the rules for a
-well-formed neuron and schedule, and for rebinding a schedule, are written
-once, in `model`. The port rule of a compiled structure is written once, in
-`harness`, and generator cost is read off the generated network, so no
-module needs a builder of its own. The `.snn` parser keeps its caches on the
-parser object, so none outlives one parse.
+well-formed neuron, schedule and synapse delay, and for rebinding a
+schedule, are written once, in `model`. The port rule of a compiled
+structure is written once, in `harness`, and generator cost is read off the
+generated network, so no module needs a builder of its own. The `.snn`
+parser keeps its caches on the parser object, so none outlives one parse.
 These checks read the sources as text and import nothing.
 """
 
@@ -121,8 +121,7 @@ def test_no_module_subclasses_the_builder():
     assert subclasses == set()
 
 
-# Each neuron and schedule rule's reason. The synapse delay rule is left
-# out: the parser checks it inline on purpose, as the sparse set-up path.
+# Each neuron, schedule and synapse delay rule's reason.
 RULE_REASONS = (
     r"threshold must be >= 0",
     r"reset must be >= 0",
@@ -130,6 +129,7 @@ RULE_REASONS = (
     r"schedule times must be",
     r"offset (must be|>=)",
     r"(?<!clock )period (must be|>=)",
+    r"delay must be >= 1",
 )
 
 

@@ -21,6 +21,7 @@ from snnkit.model import (
     is_valid_id,
     one_shot,
     parse_rational,
+    schedule_violations,
     validate_network,
 )
 from snnkit.snnfmt import serialize_network
@@ -71,6 +72,13 @@ def test_schedules():
     assert _fire_times(ExplicitSchedule((1, 4, 9)), 10) == [1, 4, 9]
     assert _fire_times(PeriodicSchedule(offset=2, period=3), 12) == [2, 5, 8, 11]
     assert one_shot(7) == ExplicitSchedule((7,))
+    assert ExplicitSchedule([1, 2]).times == (1, 2)
+    assert schedule_violations(object()) == ("not a spike schedule",)
+
+
+def test_network_neuron_lookup_raises_key_error_for_unknown_id():
+    with pytest.raises(KeyError):
+        Network().neuron("x")
 
 
 def _valid_network():

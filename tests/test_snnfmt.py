@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnkit.engine import build_plan
-from snnkit.randnet import sparse_benchmark_network
+from snnkit.randnet import random_network, sparse_benchmark_network
 from snnkit.model import (
     ExplicitSchedule,
     InvalidNetworkError,
@@ -242,6 +243,85 @@ def test_round_trip_property(net):
     assert parse_network(serialize_network(net)) == net
 
 
+_GHOST = "ghost"  # an id that random_network never declares
+
+
+def _replace_neuron(net, draw, **changes):
+    i = draw(st.integers(0, len(net.neurons) - 1))
+    neurons = list(net.neurons)
+    neurons[i] = replace(neurons[i], **changes)
+    return replace(net, neurons=tuple(neurons))
+
+
+def _replace_synapse(net, draw, **changes):
+    i = draw(st.integers(0, len(net.synapses) - 1))
+    synapses = list(net.synapses)
+    synapses[i] = synapses[i]._replace(**changes)
+    return replace(net, synapses=tuple(synapses))
+
+
+def _duplicate_id(net, draw):
+    name = draw(st.sampled_from(sorted(net.ids())))
+    return replace(net, neurons=net.neurons + (NeuronSpec(name),))
+
+
+def _non_increasing_schedule(net, draw):
+    name = draw(st.sampled_from(sorted(net.programmed)))
+    t = draw(st.integers(0, 5))
+    sched = ExplicitSchedule((t + draw(st.integers(0, 3)), t))
+    return replace(net, programmed={**net.programmed, name: sched})
+
+
+def _invalid_id(net, draw):
+    # One token each, with no `#`, so the text names the id as the network does.
+    name = draw(st.sampled_from(["a-b", "n.1", "x=y", "->", "é", "1/2"]))
+    if draw(st.booleans()):
+        return replace(net, neurons=net.neurons + (NeuronSpec(name),))
+    return replace(net, programmed={**net.programmed, name: ExplicitSchedule((0,))})
+
+
+# One way to break each rule `validate_network` checks. Bool delays are left
+# out: `serialize_network` writes a delay of True as the default delay.
+_VIOLATIONS = {
+    "negative threshold": lambda net, draw: _replace_neuron(
+        net, draw, threshold=draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(-5)]))
+    ),
+    "leak above 1": lambda net, draw: _replace_neuron(
+        net, draw, leak=draw(st.sampled_from([Fraction(7, 6), Fraction(3, 2), Fraction(2)]))
+    ),
+    "delay <= 0": lambda net, draw: _replace_synapse(net, draw, delay=draw(st.integers(-3, 0))),
+    "reject = accept": lambda net, draw: replace(net, reject=net.accept),
+    "unknown gadget tag": lambda net, draw: replace(net, gadget_tags=net.gadget_tags | {_GHOST}),
+    "unknown synapse endpoint": lambda net, draw: _replace_synapse(
+        net, draw, **{draw(st.sampled_from(["pre", "post"])): _GHOST}
+    ),
+    "duplicate neuron id": _duplicate_id,
+    "non-increasing schedule": _non_increasing_schedule,
+    "unknown accept id": lambda net, draw: replace(net, accept=_GHOST),
+    "invalid id": _invalid_id,
+}
+
+
+@st.composite
+def networks_with_at_most_one_violation(draw):
+    net = random_network(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from([None, *_VIOLATIONS]))
+    return net if kind is None else _VIOLATIONS[kind](net, draw)
+
+
+@given(networks_with_at_most_one_violation())
+@settings(max_examples=1500, deadline=None)
+def test_parser_refuses_exactly_what_validate_network_refuses(net):
+    # The parser's line rules are the only check of `.snn` text, so they must
+    # agree with the reference validation on every network's text.
+    text = serialize_network(net)
+    if validate_network(net):
+        with pytest.raises(NetworkFormatError):
+            parse_network(text)
+    else:
+        assert parse_network(text) == net
+
+
 def test_port_bindings_round_trip():
     bindings = {
         "val": ExplicitSchedule((5,)),
@@ -265,6 +345,7 @@ def test_port_bindings_errors():
     "text, error",
     [
         ("a=1_0\n", "line 1: schedule time must be an integer, got '1_0'"),
+        ("p=1;x\n", "line 1: schedule time must be an integer, got 'x'"),
         ("a=periodic:+1:٢\n", "line 1: malformed periodic schedule 'periodic:+1:٢'"),
         ("a=periodic:1:1_0\n", "line 1: malformed periodic schedule 'periodic:1:1_0'"),
         pytest.param(
@@ -408,6 +489,11 @@ def test_repeated_malformed_rational_reports_every_line():
         "line 3: threshold: malformed rational '1/0'",
         "line 4: weight: malformed rational '1/0'",
     ]
+
+
+def test_sparse_benchmark_network_needs_ten_neurons():
+    with pytest.raises(ValueError, match="at least 10 neurons"):
+        sparse_benchmark_network(9, 0)
 
 
 @pytest.mark.parametrize("key", range(4))

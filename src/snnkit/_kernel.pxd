@@ -13,11 +13,12 @@ cdef class Kernel:
     cdef int accept_idx
     cdef int reject_idx
     cdef tuple kinds
-    cdef tuple gadget
+    cdef tuple roles
     cdef tuple tn, rn, mn, md
     cdef tuple scale
     cdef list un, ud
     cdef list last
+    cdef tuple delays
     cdef tuple out
     cdef set carry
     cdef dict bucket
@@ -25,6 +26,6 @@ cdef class Kernel:
 
     # Only indices and flags get C types: potentials, leak powers and weights
     # are big integers on the rational path.
-    @cython.locals(k=cython.Py_ssize_t, rule=cython.int, accept_idx=cython.int,
-                   reject_idx=cython.int, acc=cython.bint, rej=cython.bint)
+    @cython.locals(k=cython.Py_ssize_t, rule=cython.int, role=cython.int,
+                   lane=cython.Py_ssize_t, slots=list, acc=cython.bint, rej=cython.bint)
     cpdef step(self)

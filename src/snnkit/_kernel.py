@@ -37,6 +37,17 @@ sorted once, after the pass.
 A step with no delivery, no carried neuron and no programmed firing returns
 at once. Idle decay is applied lazily as leak**dt on the next touch, which
 is exact and order-independent.
+
+A step that fires makes one pass over the fired neurons, which books their
+spikes and sends their deliveries. The plan numbers the network's distinct
+delays as lanes, and each outgoing synapse names its lane, so all of a
+step's deliveries along one lane go to the same arrival t + delay. The pass
+looks up a lane's slot in the bucket of pending arrivals on the lane's first
+delivery of the step, opening it if no earlier step did, and reads every
+later delivery's slot from a per-step list by lane. ENERGY and payload
+ENERGY grow by the number fired, once per step; only neurons with a role
+(gadget, accept or reject) take a further test, to give back a gadget's
+payload spike or to mark a verdict.
 """
 
 from heapq import heappop, heappush
@@ -68,10 +79,11 @@ class Kernel:
         self.mn = plan.leak_nums
         self.md = plan.leak_dens
         self.scale = plan.scale
+        self.delays = plan.delays
         self.out = plan.out
         self.accept_idx = plan.accept_idx
         self.reject_idx = plan.reject_idx
-        self.gadget = plan.gadget
+        self.roles = plan.roles
         self.t = 0
         self.un = [0] * n
         self.ud = [1] * n
@@ -162,31 +174,39 @@ class Kernel:
                     last[k] = t
         if fired:
             fired.sort()
-            energy = self.energy
-            payload = self.payload_energy
-            gadget = self.gadget
+            n_fired = len(fired)
+            self.energy += n_fired
+            payload = n_fired
+            roles = self.roles
             out = self.out
+            delays = self.delays
             bucket = self.bucket
-            accept_idx = self.accept_idx
-            reject_idx = self.reject_idx
+            # Each lane's slot for this step's arrival t + delays[lane], looked
+            # up on the lane's first delivery and then read by index.
+            slots = [None] * len(delays)
             acc = False
             rej = False
             for k in fired:
-                energy += 1
-                if not gadget[k]:
-                    payload += 1
-                if k == accept_idx:
-                    acc = True
-                elif k == reject_idx:
-                    rej = True
-                for post, delay, w in out[k]:
-                    slot = bucket.get(t + delay)
+                role = roles[k]
+                if role:  # +1 for a gadget neuron, +2 for the accept or reject neuron
+                    if role & 1:
+                        payload -= 1
+                    if role & 2:
+                        if k == self.accept_idx:
+                            acc = True
+                        else:
+                            rej = True
+                for post, lane, w in out[k]:
+                    slot = slots[lane]
                     if slot is None:
-                        bucket[t + delay] = {post: w}
-                    else:
-                        slot[post] = slot.get(post, 0) + w
-            self.energy = energy
-            self.payload_energy = payload
+                        arrival = t + delays[lane]
+                        slot = bucket.get(arrival)
+                        if slot is None:
+                            slots[lane] = bucket[arrival] = {post: w}
+                            continue
+                        slots[lane] = slot
+                    slot[post] = slot.get(post, 0) + w
+            self.payload_energy += payload
             if acc:
                 self.verdict = VERDICT_AMBIGUOUS if rej else VERDICT_ACCEPT
             elif rej:

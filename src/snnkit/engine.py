@@ -154,10 +154,15 @@ class Plan:
     spikes as sorted (time, neuron, period) entries: one per listed spike of
     an explicit schedule, with period 0, and one per periodic schedule, at
     its offset with its period. Sorted, it is already the heap the kernel
-    pops and equal plans list equal spikes. `out` holds each neuron's outgoing
-    (post, delay, weight*L_post) integer triples, `accept_idx`/`reject_idx`
-    the verdict neurons (-1 when absent) and `gadget` 1 for gadget neurons.
-    The kernel reads these fields by name.
+    pops and equal plans list equal spikes. `delays` lists each distinct
+    synaptic delay once, in the order it first appears in the network's
+    synapses; its positions are the delivery lanes. `out` holds each
+    neuron's outgoing (post, lane, weight*L_post) integer triples, where
+    `delays[lane]` is the synapse's delay, so the kernel looks up each
+    lane's arrival slot once per step. `accept_idx`/`reject_idx` are the
+    verdict neurons (-1 when absent), and `roles[k]` is 1 if neuron k is a
+    gadget neuron, plus 2 if it is the accept or reject neuron; a plain
+    payload neuron has 0. The kernel reads these fields by name.
 
     `network` is the network this plan simulates. `with_schedules` swaps
     programmed-neuron schedules without planning again, so networks that
@@ -175,10 +180,11 @@ class Plan:
     leak_dens: tuple[int, ...]
     scale: tuple[int, ...]
     spikes: tuple[tuple[int, int, int], ...]
+    delays: tuple[int, ...]
     out: tuple
     accept_idx: int
     reject_idx: int
-    gadget: tuple[int, ...]
+    roles: tuple[int, ...]
     network: Network = field(compare=False, repr=False)
     index: Mapping[str, int] = field(compare=False, repr=False)
 
@@ -227,10 +233,20 @@ def build_plan(network: Network) -> Plan:
         kinds[k] = RULE_MEMORYLESS if m == 0 else RULE_INTEGRATOR if m == md else RULE_DECAYING
     for name in network.programmed:
         kinds[index[name]] = RULE_PROGRAMMED
+    accept_idx = index[network.accept] if network.accept is not None else -1
+    reject_idx = index[network.reject] if network.reject is not None else -1
+    roles = [1 if name in network.gadget_tags else 0 for name in ids]
+    for k in (accept_idx, reject_idx):
+        if k >= 0:
+            roles[k] |= 2
+    lanes: dict[int, int] = {}  # delay -> lane, numbered by first use
     for syn in network.synapses:
         post = index[syn.post]
         num, den = syn.weight.as_integer_ratio()
-        out[index[syn.pre]].append((post, syn.delay, num * (scale[post] // den)))
+        lane = lanes.get(syn.delay)
+        if lane is None:
+            lane = lanes[syn.delay] = len(lanes)
+        out[index[syn.pre]].append((post, lane, num * (scale[post] // den)))
     return Plan(
         ids=tuple(ids),
         n=n,
@@ -241,10 +257,11 @@ def build_plan(network: Network) -> Plan:
         leak_dens=tuple(leak_dens),
         scale=tuple(scale),
         spikes=_spike_heap(network.programmed, index),
+        delays=tuple(lanes),
         out=tuple(tuple(entries) for entries in out),
-        accept_idx=index[network.accept] if network.accept is not None else -1,
-        reject_idx=index[network.reject] if network.reject is not None else -1,
-        gadget=tuple(1 if name in network.gadget_tags else 0 for name in ids),
+        accept_idx=accept_idx,
+        reject_idx=reject_idx,
+        roles=tuple(roles),
         network=network,
         index=index,
     )

@@ -39,6 +39,7 @@ from .model import (
     DEFAULT_THRESHOLD,
     DEFAULT_WEIGHT,
     ExplicitSchedule,
+    InvalidNetworkError,
     Network,
     NeuronSpec,
     PeriodicSchedule,
@@ -328,11 +329,30 @@ def _format_schedule(sched: SpikeSchedule) -> str:
     return "schedule=" + ";".join(str(t) for t in sched.times)
 
 
+def _unwritable_ids(network: Network) -> list[str]:
+    """Every id, of any role, that is empty or holds whitespace or `#`, sorted."""
+    names = [spec.id for spec in network.neurons]
+    names += network.programmed
+    for syn in network.synapses:
+        names += (syn.pre, syn.post)
+    names += [name for name in (network.accept, network.reject) if name is not None]
+    names += network.gadget_tags
+    return sorted(
+        {name for name in names if isinstance(name, str) and (name.split() != [name] or "#" in name)}
+    )
+
+
 def serialize_network(network: Network) -> str:
     """Canonical `.snn` text: header, neurons, inputs, synapses, designations.
 
     Default-valued attributes are omitted; rationals print in lowest terms.
+    Ids are written as they are, so an id that is empty or holds whitespace
+    or `#`, which the text would read back as other ids or none, raises
+    InvalidNetworkError naming it.
     """
+    unwritable = _unwritable_ids(network)
+    if unwritable:
+        raise InvalidNetworkError(f"id {name!r} cannot be written as .snn text" for name in unwritable)
     lines = [HEADER]
     for spec in network.neurons:
         parts = [f"neuron {spec.id}"]

@@ -12,6 +12,7 @@ from snnkit.engine import (
     render_raster,
     run,
 )
+from snnkit.gadgets import attach_timer
 from snnkit.model import (
     InvalidNetworkError,
     Network,
@@ -409,6 +410,30 @@ def _delivery_into_due_programmed():
     return builder.build()
 
 
+def _shared_delivery_lanes():
+    # At t=0, a and b fire into delay 1 (both into x) and into delays 2 and
+    # 3; at t=1, a, c and x fire, and the first delivery into delays 1 and 2
+    # lands on arrivals 2 and 3, which t=0 opened. The timer attach_timer
+    # adds fires at t=0, and the gadget-tagged reject it adds fires at t=5.
+    builder = NetworkBuilder()
+    builder.add_input("a", [0, 1])
+    builder.add_input("b", [0])
+    builder.add_input("c", [1])
+    builder.add_neuron("x", threshold=2)
+    builder.add_neuron("y", threshold=2, leak="1/2")
+    builder.add_neuron("acc", threshold=10)
+    builder.add_synapse("a", "x")
+    builder.add_synapse("b", "x")
+    builder.add_synapse("a", "y", delay=3)
+    builder.add_synapse("b", "y", weight="1/2", delay=2)
+    builder.add_synapse("b", "acc", delay=3)
+    builder.add_synapse("a", "acc")
+    builder.add_synapse("c", "y", delay=2)
+    builder.add_synapse("x", "acc", weight=2, delay=2)
+    builder.set_accept("acc")
+    return attach_timer(builder.build(), 4)
+
+
 @pytest.mark.usefixtures("kernel_build")
 class TestAgainstReference:
     def test_random_networks_match_brute_force(self):
@@ -442,6 +467,7 @@ class TestAgainstReference:
             _inhibited_zero_threshold,
             _interleaved_programmed_and_regular,
             _delivery_into_due_programmed,
+            _shared_delivery_lanes,
         ],
     )
     def test_hand_built_networks_match_reference_state(self, build):
@@ -453,6 +479,9 @@ class TestAgainstReference:
             assert sim.step() == fired_at.get(t, ()), t
             assert sim.potentials() == potentials, t
             assert sim.pending() == pending, t
+        assert (sim.verdict or "timeout", sim.energy, sim.energy_payload) == (
+            ref.verdict, ref.energy, ref.payload_energy
+        )
 
     def test_programmed_independence(self):
         # Firing times of programmed neurons equal their schedule regardless

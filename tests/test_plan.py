@@ -127,8 +127,8 @@ class TestWithSchedules:
         assert plan.network is net
 
     def test_rebinding_after_reading_the_network(self):
-        # Reading `network` caches it on the parent; the rebound copy must
-        # build its own, and the parent must keep its spikes, bindings and network.
+        # The parent keeps its state and its network; the rebound copy gets
+        # its own network and spikes.
         net = _two_port_network()
         parent = build_plan(net)
         assert parent.network is net
@@ -316,3 +316,24 @@ def test_rebinding_copies_the_parent_and_swaps_only_schedules(case):
     # Neither parent changed.
     assert vars(parent) == plan_state and parent.network is network
     assert network.programmed == programmed
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rebinding_cases())
+def test_plan_lanes_carry_each_synapse_delay_and_roles_mark_gadgets_and_verdicts(case):
+    network, _, _ = case
+    plan = build_plan(network)
+    assert len(set(plan.delays)) == len(plan.delays)
+    assert plan.delays == tuple(dict.fromkeys(syn.delay for syn in network.synapses))
+    # A neuron's `out` entries follow its synapses in the network's order.
+    seen = [0] * plan.n
+    for syn in network.synapses:
+        pre = plan.index[syn.pre]
+        post, lane, _ = plan.out[pre][seen[pre]]
+        seen[pre] += 1
+        assert (plan.ids[post], plan.delays[lane]) == (syn.post, syn.delay)
+    assert seen == [len(entries) for entries in plan.out]
+    verdicts = {network.accept, network.reject}
+    assert plan.roles == tuple(
+        (name in network.gadget_tags) + 2 * (name in verdicts) for name in plan.ids
+    )

@@ -82,6 +82,32 @@ def test_serialize_deterministic_and_lowest_terms():
     assert "weight=1/2" in first
 
 
+@pytest.mark.parametrize(
+    "net, name",
+    [
+        # `#` starts a comment: the text would read back as neuron `acc`.
+        (Network(neurons=(NeuronSpec("acc#x"),), accept="acc#x"), "acc#x"),
+        # A newline splits one line into two: neurons `b` and `c`.
+        (Network(neurons=(NeuronSpec("a"), NeuronSpec("b\nneuron c")), accept="a"), "b\nneuron c"),
+        (
+            Network(
+                neurons=(NeuronSpec("a"),),
+                programmed={"": ExplicitSchedule((0,))},
+                synapses=(SynapseSpec("", "a"),),
+                accept="a",
+            ),
+            "",
+        ),
+        (Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={"a b"}), "a b"),
+    ],
+    ids=["hash", "newline", "empty", "space-in-gadget-tag"],
+)
+def test_serialize_refuses_ids_the_text_cannot_carry(net, name):
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        serialize_network(net)
+    assert excinfo.value.violations == [f"id {name!r} cannot be written as .snn text"]
+
+
 def test_round_trip_identity():
     net = parse_network(EXAMPLE)
     assert parse_network(serialize_network(net)) == net

@@ -112,7 +112,7 @@ class Kernel:
             carry.clear()
         heap = self.heap
         if inputs is None and not (heap and heap[0][0] == t):
-            return []
+            return ()
         fired = []
         while heap and heap[0][0] == t:
             _, k, period = heappop(heap)

@@ -130,7 +130,8 @@ def _spike_heap(programmed: Mapping[str, SpikeSchedule], index: Mapping[str, int
     for name, sched in programmed.items():
         k = index[name]
         if isinstance(sched, ExplicitSchedule):
-            spikes += [(t, k, 0) for t in sched.times]
+            for t in sched.times:  # a loop: a comprehension is a call per schedule
+                spikes.append((t, k, 0))
         else:
             spikes.append((sched.offset, k, sched.period))
     spikes.sort()
@@ -247,7 +248,8 @@ def build_plan(network: Network) -> Plan:
         if lane is None:
             lane = lanes[syn.delay] = len(lanes)
         out[index[syn.pre]].append((post, lane, num * (scale[post] // den)))
-    return Plan(
+    plan = object.__new__(Plan)  # skips the frozen __init__'s setattr per field
+    vars(plan).update(
         ids=tuple(ids),
         n=n,
         kinds=tuple(kinds),
@@ -258,13 +260,14 @@ def build_plan(network: Network) -> Plan:
         scale=tuple(scale),
         spikes=_spike_heap(network.programmed, index),
         delays=tuple(lanes),
-        out=tuple(tuple(entries) for entries in out),
+        out=tuple(map(tuple, out)),
         accept_idx=accept_idx,
         reject_idx=reject_idx,
         roles=tuple(roles),
         network=network,
         index=index,
     )
+    return plan
 
 
 class Simulation:
@@ -280,11 +283,12 @@ class Simulation:
     """
 
     def __init__(self, network: Network | Plan, validate: bool = True):
+        is_plan = isinstance(network, Plan)
         if validate:
-            check_network(network.network if isinstance(network, Plan) else network)
-        self.plan = network if isinstance(network, Plan) else build_plan(network)
-        self.ids = self.plan.ids
-        self._kernel = Kernel(self.plan)
+            check_network(network.network if is_plan else network)
+        self.plan = plan = network if is_plan else build_plan(network)
+        self.ids = plan.ids
+        self._kernel = Kernel(plan)
 
     @property
     def network(self) -> Network:
@@ -359,7 +363,9 @@ def run(
     step = sim.step
     for t in range(limits.max_steps):
         fired = step()
-        if trace and fired:
+        if not fired:  # a silent step moves neither the verdict nor the energy
+            continue
+        if trace:
             steps.append(TraceStep(t, fired, kernel.energy))
         if kernel.verdict:
             verdict = sim.verdict
@@ -368,13 +374,9 @@ def run(
         if cap is not None and kernel.energy > cap:
             time = t + 1
             break
+    net = plan.network
     report = ResourceReport(
-        verdict=verdict,
-        time=time,
-        energy=sim.energy,
-        energy_payload=sim.energy_payload,
-        neurons=plan.network.size(),
-        synapses=len(plan.network.synapses),
+        verdict, time, kernel.energy, kernel.payload_energy, net.size(), len(net.synapses)
     )
     return RunResult(report, Trace(tuple(steps), report) if trace else None)
 

@@ -208,12 +208,13 @@ class CompiledStructure:
 
     def check_ports(self, schedules: Mapping[str, object]) -> None:
         """Raise ValueError unless `schedules` names exactly the input ports."""
-        unknown = set(schedules) - set(self.input_ports)
+        ports = set(self.input_ports)
+        if schedules.keys() == ports:
+            return
+        unknown = schedules.keys() - ports
         if unknown:
             raise ValueError(f"unknown input ports: {sorted(unknown)}")
-        missing = set(self.input_ports) - set(schedules)
-        if missing:
-            raise ValueError(f"ports left unbound: {sorted(missing)}")
+        raise ValueError(f"ports left unbound: {sorted(ports - schedules.keys())}")
 
     def bind(self, schedules: Mapping[str, object]) -> Network:
         """Fill every port with a schedule; arity must match exactly."""

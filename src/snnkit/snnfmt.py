@@ -329,8 +329,8 @@ def _format_schedule(sched: SpikeSchedule) -> str:
     return "schedule=" + ";".join(str(t) for t in sched.times)
 
 
-def _unwritable_ids(network: Network) -> list[str]:
-    """Every id, of any role, that is empty or holds whitespace or `#`, sorted."""
+def _unwritable_ids(network: Network) -> list[object]:
+    """Every id, of any role, that is not a str or is empty or holds whitespace or `#`, sorted."""
     names = [spec.id for spec in network.neurons]
     names += network.programmed
     for syn in network.synapses:
@@ -338,7 +338,8 @@ def _unwritable_ids(network: Network) -> list[str]:
     names += [name for name in (network.accept, network.reject) if name is not None]
     names += network.gadget_tags
     return sorted(
-        {name for name in names if isinstance(name, str) and (name.split() != [name] or "#" in name)}
+        {name for name in names if not isinstance(name, str) or name.split() != [name] or "#" in name},
+        key=lambda name: (not isinstance(name, str), str(name)),  # strings first: mixed ids sort
     )
 
 
@@ -346,9 +347,9 @@ def serialize_network(network: Network) -> str:
     """Canonical `.snn` text: header, neurons, inputs, synapses, designations.
 
     Default-valued attributes are omitted; rationals print in lowest terms.
-    Ids are written as they are, so an id that is empty or holds whitespace
-    or `#`, which the text would read back as other ids or none, raises
-    InvalidNetworkError naming it.
+    Ids are written as they are, so an id that is not a string, or is empty
+    or holds whitespace or `#`, which the text would read back as another
+    id or none, raises InvalidNetworkError naming it.
     """
     unwritable = _unwritable_ids(network)
     if unwritable:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from snnkit.engine import (
@@ -9,6 +9,8 @@ from snnkit.engine import (
     ResourceReport,
     RunLimits,
     Simulation,
+    Trace,
+    TraceStep,
     render_raster,
     run,
 )
@@ -299,6 +301,68 @@ class TestRun:
         report, _ = run(builder.build(), RunLimits(5))
         assert report.energy == 3
         assert report.energy_payload == 2
+
+
+def _per_step_run(network, limits):
+    """What `run` returns, from a loop that tests the verdict and the spike cap after every step.
+
+    Also says whether the spike cap was crossed on a step that followed a silent one.
+    """
+    sim = Simulation(network)
+    steps = []
+    verdict, time = "timeout", limits.max_steps
+    silent_before = after_silent = False
+    for t in range(limits.max_steps):
+        fired = sim.step()
+        if fired:
+            steps.append(TraceStep(t, fired, sim.energy))
+        if sim.verdict:
+            verdict, time = sim.verdict, t + 1
+            break
+        if limits.max_total_spikes is not None and sim.energy > limits.max_total_spikes:
+            after_silent = silent_before
+            time = t + 1
+            break
+        silent_before = not fired
+    report = ResourceReport(
+        verdict, time, sim.energy, sim.energy_payload, network.size(), len(network.synapses)
+    )
+    return report, Trace(tuple(steps), report), after_silent
+
+
+@pytest.mark.usefixtures("kernel_build")
+class TestRunLoop:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_steps=st.integers(1, 60),
+        cap=st.one_of(st.sampled_from([None, 0, 1]), st.integers(2, 40)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_matches_a_loop_that_checks_after_every_step(self, seed, max_steps, cap):
+        net = random_network(seed, max_neurons=12, max_synapses=30)
+        limits = RunLimits(max_steps, max_total_spikes=cap)
+        report, trace = run(net, limits, trace=True)
+        want_report, want_trace, after_silent = _per_step_run(net, limits)
+        event(f"verdict {report.verdict}")
+        if after_silent:
+            event("spike cap crossed after a silent step")
+        assert report == want_report
+        assert trace.render() == want_trace.render()
+        assert run(net, limits).report == report
+
+    def test_spike_cap_crossed_after_silent_steps(self):
+        builder = NetworkBuilder()
+        builder.add_input("p", [3, 5])
+        builder.add_neuron("acc", threshold=2)
+        builder.add_synapse("p", "acc")
+        builder.set_accept("acc")
+        net = builder.build()
+        limits = RunLimits(10, max_total_spikes=0)
+        report, trace = run(net, limits, trace=True)
+        assert (report.verdict, report.time, report.energy) == ("timeout", 4, 1)
+        want_report, want_trace, after_silent = _per_step_run(net, limits)
+        assert after_silent and report == want_report
+        assert trace.render() == want_trace.render()
 
 
 class TestRunLimits:

@@ -13,6 +13,7 @@ from snnkit.harness import (
     ACCEPTED,
     PROMISE_VIOLATED,
     REJECTED,
+    CompiledStructure,
     Domain,
     GeneratorCost,
     Instrument,
@@ -345,6 +346,41 @@ def _per_instance_report(compiler, domain, seed):
     return MismatchReport(len(instances), tuple(mismatches), tuple(bound_violations), ())
 
 
+class TestCheckPorts:
+    def _structure(self, *ports):
+        builder = NetworkBuilder()
+        for name in ports:
+            builder.add_input(name, [])
+        builder.add_neuron("acc")
+        builder.set_accept("acc")
+        return CompiledStructure(builder.build(), ports)
+
+    def test_exact_ports_pass(self):
+        self._structure("p", "q").check_ports({"q": [1], "p": [0]})
+        self._structure().check_ports({})
+
+    @pytest.mark.parametrize(
+        "schedules, message",
+        [
+            ({"p": [0], "q": [1], "z": [2], "y": [3]}, "unknown input ports: ['y', 'z']"),
+            ({"q": [1]}, "ports left unbound: ['p']"),
+            ({}, "ports left unbound: ['p', 'q']"),
+            # Unknown names are reported before missing ones.
+            ({"z": [0], "a": [1]}, "unknown input ports: ['a', 'z']"),
+        ],
+        ids=["extra", "missing", "none", "extra-and-missing"],
+    )
+    def test_mismatched_ports_are_named_sorted(self, schedules, message):
+        with pytest.raises(ValueError) as excinfo:
+            self._structure("p", "q").check_ports(schedules)
+        assert str(excinfo.value) == message
+
+    def test_no_ports_refuse_any_schedule(self):
+        with pytest.raises(ValueError) as excinfo:
+            self._structure().check_ports({"p": [0]})
+        assert str(excinfo.value) == "unknown input ports: ['p']"
+
+
 class TestVerifyEquivalence:
     @pytest.fixture(autouse=True)
     def _own_registry(self, monkeypatch):
@@ -472,6 +508,18 @@ class TestVerifyEquivalence:
         # Element spikes alone now reach the threshold: only false accepts.
         assert all(m.network_verdict == "accept" and not m.reference for m in report.mismatches)
         assert report == _per_instance_report("array-search-c-corrupted", domain, seed=0)
+
+    def test_split_that_drops_a_port_is_refused(self):
+        entry = get_compiler("array-search-c")
+
+        def split(instance):
+            args, schedules = entry.split(instance)
+            return args, {name: sched for name, sched in schedules.items() if name != "val"}
+
+        register_compiler(replace(entry, name="array-search-c-portless", split=split, from_flags=None))
+        with pytest.raises(ValueError) as excinfo:
+            verify_equivalence("array-search-c-portless", Domain(max_len=1, max_val=2))
+        assert str(excinfo.value) == "ports left unbound: ['val']"
 
     def test_payload_bound_one_too_low_is_reported(self):
         entry = get_compiler("array-search-a")

@@ -6,7 +6,7 @@ array-search compilers and for generated networks checked step by step
 against the brute-force reference simulator.
 """
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from random import Random
 
@@ -29,9 +29,11 @@ from snnkit.model import (
     one_shot,
     validate_network,
 )
+from snnkit.randnet import random_network
 from snnkit.snnfmt import serialize_network
 
 from reference_engine import simulate_reference
+from reference_plan import reference_build_plan
 
 SWEEP_DOMAIN = Domain(max_len=3, max_val=4, random_instances=25, random_max_len=6, random_max_val=9)
 
@@ -189,6 +191,88 @@ def test_plan_kinds_name_each_neuron_rule():
     plan = build_plan(builder.build())
     assert plan.ids == ("a", "b", "c", "d")
     assert plan.kinds == (0, 1, 2, 3)
+
+
+# -- build_plan against the reference builder ------------------------------
+
+_GHOST = "ghost"
+
+
+def _tag_some(net, draw):
+    names = sorted(net.ids())
+    return replace(net, gadget_tags=draw(st.sets(st.sampled_from(names), min_size=1, max_size=3)))
+
+
+def _regular_id_also_programmed(net, draw):
+    # The programmed rule wins at the later of the two `ids` entries.
+    name = draw(st.sampled_from([spec.id for spec in net.neurons]))
+    return replace(net, programmed={**net.programmed, name: draw(_schedules())})
+
+
+def _programmed_id_also_regular(net, draw):
+    name = draw(st.sampled_from(sorted(net.programmed)))
+    leak = draw(st.sampled_from(_LEAKS))
+    return replace(net, neurons=net.neurons + (NeuronSpec(name, draw(_RATIONALS), leak=leak),))
+
+
+# Ways to bend a network that `build_plan` must plan exactly as the
+# reference does; unvalidated networks (`Simulation(..., validate=False)`)
+# reach it unchecked. The last two make both raise KeyError.
+_PLAN_EDITS = {
+    "tag some ids": _tag_some,
+    "regular id also programmed": _regular_id_also_programmed,
+    "programmed id also regular": _programmed_id_also_regular,
+    "gadget tag naming no neuron": lambda net, draw: replace(net, gadget_tags=net.gadget_tags | {_GHOST}),
+    "synapse to no neuron": lambda net, draw: replace(
+        net, synapses=net.synapses + (SynapseSpec(net.accept, _GHOST),)
+    ),
+    "accept naming no neuron": lambda net, draw: replace(net, accept=_GHOST),
+}
+
+
+@st.composite
+def _plannable_networks(draw):
+    net = random_network(draw(st.integers(0, 2**32 - 1)), max_neurons=8, max_synapses=20)
+    for edit in draw(st.lists(st.sampled_from(sorted(_PLAN_EDITS)), max_size=3)):
+        event(edit)
+        net = _PLAN_EDITS[edit](net, draw)
+    return net
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plannable_networks())
+def test_build_plan_equals_reference_field_by_field(network):
+    try:
+        ref = reference_build_plan(network)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            build_plan(network)
+        return
+    plan = build_plan(network)
+    assert type(plan) is Plan and vars(plan).keys() == vars(ref).keys()
+    for f in fields(Plan):
+        assert getattr(plan, f.name) == getattr(ref, f.name), f.name
+    assert plan.network is network
+
+
+def test_build_plan_keeps_twice_listed_ids_and_ignores_unknown_tags():
+    # Both cases broke a plan built without the reference's passes.
+    net = Network(
+        neurons=(NeuronSpec("a"), NeuronSpec("x")),
+        programmed={"x": one_shot(0)},
+        accept="a",
+        gadget_tags={"x", _GHOST},
+    )
+    plan = build_plan(net)
+    assert plan == reference_build_plan(net)
+    assert (plan.ids, plan.kinds, plan.roles) == (("a", "x", "x"), (1, 0, 3), (2, 1, 1))
+
+
+def test_plan_is_frozen():
+    plan = build_plan(_two_port_network())
+    for f in fields(Plan):
+        with pytest.raises(FrozenInstanceError):
+            setattr(plan, f.name, None)
 
 
 # -- differential test against the reference simulator --------------------

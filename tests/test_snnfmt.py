@@ -83,12 +83,12 @@ def test_serialize_deterministic_and_lowest_terms():
 
 
 @pytest.mark.parametrize(
-    "net, name",
+    "net, names",
     [
         # `#` starts a comment: the text would read back as neuron `acc`.
-        (Network(neurons=(NeuronSpec("acc#x"),), accept="acc#x"), "acc#x"),
+        (Network(neurons=(NeuronSpec("acc#x"),), accept="acc#x"), ["acc#x"]),
         # A newline splits one line into two: neurons `b` and `c`.
-        (Network(neurons=(NeuronSpec("a"), NeuronSpec("b\nneuron c")), accept="a"), "b\nneuron c"),
+        (Network(neurons=(NeuronSpec("a"), NeuronSpec("b\nneuron c")), accept="a"), ["b\nneuron c"]),
         (
             Network(
                 neurons=(NeuronSpec("a"),),
@@ -96,16 +96,20 @@ def test_serialize_deterministic_and_lowest_terms():
                 synapses=(SynapseSpec("", "a"),),
                 accept="a",
             ),
-            "",
+            [""],
         ),
-        (Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={"a b"}), "a b"),
+        (Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={"a b"}), ["a b"]),
+        # The text would read back the string id `5`.
+        (Network(neurons=(NeuronSpec(5),), accept=5), [5]),
+        # Strings sort first; a bare sort of mixed ids raises TypeError.
+        (Network(neurons=(NeuronSpec(5),), programmed={"a#": ExplicitSchedule((0,))}, accept=5), ["a#", 5]),
     ],
-    ids=["hash", "newline", "empty", "space-in-gadget-tag"],
+    ids=["hash", "newline", "empty", "space-in-gadget-tag", "int", "int-and-hash"],
 )
-def test_serialize_refuses_ids_the_text_cannot_carry(net, name):
+def test_serialize_refuses_ids_the_text_cannot_carry(net, names):
     with pytest.raises(InvalidNetworkError) as excinfo:
         serialize_network(net)
-    assert excinfo.value.violations == [f"id {name!r} cannot be written as .snn text"]
+    assert excinfo.value.violations == [f"id {name!r} cannot be written as .snn text" for name in names]
 
 
 def test_round_trip_identity():

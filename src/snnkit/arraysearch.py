@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
@@ -106,12 +107,17 @@ CompiledSearch = CompiledStructure
 _ZERO, _INHIBIT = Fraction(0), Fraction(-1)
 
 
+@lru_cache(maxsize=64)
+def _detector_parameters(m: int) -> tuple[Fraction, Fraction]:
+    """The detector's element weight 1/m and threshold (m+1)/m, built once per m."""
+    return Fraction(1, m), Fraction(m + 1, m)
+
+
 def _wire_common(builder: NetworkBuilder, n: int) -> None:
     # Detector fires only on value+element coincidence; duplicates alone
     # sum to at most n * (1/n) = 1 < threshold 1 + 1/n.
-    m = max(n, 1)
-    weight = Fraction(1, m)
-    builder.add_neuron(DETECTOR, threshold=Fraction(m + 1, m), reset=_ZERO, leak=_ZERO)
+    weight, threshold = _detector_parameters(max(n, 1))
+    builder.add_neuron(DETECTOR, threshold=threshold, reset=_ZERO, leak=_ZERO)
     builder.add_neuron(REJECTOR)
     for j in range(n):
         builder.add_synapse(element_port(j), DETECTOR, weight=weight)
@@ -232,12 +238,28 @@ def expected_reject_step(variant: str, instance: ArrayInstance) -> int:
     return instance.target + instance.bound + 1
 
 
+def _instance_in_range(elements: tuple[int, ...], target: int, bound: int) -> ArrayInstance:
+    """An ArrayInstance built without its checks, for values already known in range.
+
+    The caller guarantees what `ArrayInstance.__post_init__` would check:
+    `elements` is a tuple, bound >= 1, and every value lies in range(bound).
+    """
+    instance = object.__new__(ArrayInstance)  # skips the frozen __init__ and its checks
+    object.__setattr__(instance, "elements", elements)
+    object.__setattr__(instance, "target", target)
+    object.__setattr__(instance, "bound", bound)
+    return instance
+
+
 def _enumerate_array_instances(domain: Domain) -> Iterator[ArrayInstance]:
-    values = range(domain.max_val)
+    # Every value is drawn from range(V), and Domain has checked V >= 1, so
+    # each instance is in range by construction and is not checked again.
+    bound = domain.max_val
+    values = range(bound)
     for length in range(domain.max_len + 1):
         for elements in itertools.product(values, repeat=length):
             for target in values:
-                yield ArrayInstance(elements, target, domain.max_val)
+                yield _instance_in_range(elements, target, bound)
 
 
 def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:

@@ -470,7 +470,8 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     when it declares one. The entry needs `enumerate_domain`, `split` and
     `compile`. Consecutive instances with equal compile arguments share one
     compiled structure and plan; each runs as that plan with its own port
-    schedules. `inequality_violations` is always empty: every `ResourceReport`
+    schedules. Instances with equal `step_limit` values share one
+    `RunLimits`. `inequality_violations` is always empty: every `ResourceReport`
     already keeps ENERGY <= TIME * SPACE.
     """
     entry = get_compiler(compiler)
@@ -489,6 +490,7 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     mismatches = []
     bound_violations = []
     structure = None  # (compile arguments, compiled, plan) of the previous instance
+    limits: dict[int, RunLimits] = {}  # step limit -> its RunLimits
     for instance in instances:
         checked += 1
         args, schedules = entry.split(instance)
@@ -496,10 +498,13 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
             compiled = entry.compile(*args, NetworkBuilder())
             structure = (args, compiled, build_plan(compiled.network))
         structure[1].check_ports(schedules)
+        max_steps = entry.step_limit(instance)
+        run_limits = limits.get(max_steps)
+        # A bool or float equal to a cached int must still fail RunLimits' check.
+        if run_limits is None or type(max_steps) is not int:
+            run_limits = limits[max_steps] = RunLimits(max_steps=max_steps)
         report = run(
-            structure[2].with_schedules(schedules),
-            RunLimits(max_steps=entry.step_limit(instance)),
-            validate=False,
+            structure[2].with_schedules(schedules), run_limits, validate=False
         ).report
         expected = entry.reference(instance)
         if report.verdict != (ACCEPT if expected else REJECT):

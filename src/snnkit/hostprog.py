@@ -16,7 +16,9 @@ lets programs branch on the distinguished promise-violation outcome.
 Compile args are the command line's compile flags, parsed by the same
 `harness.COMPILE_FLAGS`, e.g. ``array-search --variant b --array 1,2 --bound 4``;
 ``--flag=value`` works, abbreviations are rejected, and every integer (the
-oracle caps too) is ASCII ``-?[0-9]+``.
+oracle caps too) is ASCII ``-?[0-9]+``. An oracle's inputs file may bind
+only the ports its network's ``compile`` left open, which are none when
+``--target`` bound them; naming another programmed neuron is an error.
 
 Execution is sequential and the call log records every oracle query.
 """
@@ -32,11 +34,12 @@ from .harness import (
     COMPILE_FLAGS,
     PROMISE_VIOLATED,
     REJECTED,
+    CompiledStructure,
     ResourceCaps,
     compile_from_flags,
     network_halting_oracle,
 )
-from .model import Network, parse_int
+from .model import parse_int
 from .snnfmt import parse_port_bindings
 
 _OUTCOME_TOKENS = {"accepted": ACCEPTED, "rejected": REJECTED, "violated": PROMISE_VIOLATED}
@@ -101,19 +104,24 @@ class _Halt:
     verdict: str
 
 
-def build_compiled_network(compiler: str, args: tuple[str, ...], lineno: int = 0) -> Network:
-    """Build a network from CLI-style compile arguments.
+def build_compiled_network(
+    compiler: str, args: tuple[str, ...], lineno: int = 0
+) -> CompiledStructure:
+    """Build a network from CLI-style compile arguments, with the ports it leaves open.
 
-    Without a --target the network's input ports are left unbound, to be
-    filled via the oracle's inputs file.
+    Without a --target the network's input ports are left unbound and open,
+    to be filled via the oracle's inputs file; a --target binds them all and
+    leaves none open.
     """
     try:
         flags, extra = COMPILE_FLAGS.parse_known_args(args)
         if extra:
             raise ValueError(f"unknown flag {extra[0]!r}")
         compiled, schedules = compile_from_flags(compiler, flags)
+        if schedules is None:
+            return compiled
         # compile_from_flags has checked the schedules against the ports.
-        return compiled.network.bind_schedules(schedules or {})
+        return CompiledStructure(compiled.network.bind_schedules(schedules), ())
     except ValueError as exc:
         raise HostProgramError(f"line {lineno}: {exc}") from None
 
@@ -208,7 +216,7 @@ def host_run(
     """Execute a host program; return the final verdict and the call log."""
     instructions, labels = parse_program(text)
     base = Path(base_dir)
-    networks: dict[str, Network] = {}
+    networks: dict[str, CompiledStructure] = {}
     bits: dict[str, str] = {}
     calls: list[OracleCall] = []
     pc = 0
@@ -228,14 +236,27 @@ def host_run(
                 raise HostProgramError(
                     f"line {instr.lineno}: no network named {instr.network!r} has been built"
                 )
+            compiled = networks[instr.network]
             inputs: Mapping[str, object] | None = None
             if instr.inputs_file is not None:
                 try:
                     inputs = parse_port_bindings((base / instr.inputs_file).read_text())
                 except (OSError, ValueError) as exc:
                     raise HostProgramError(f"line {instr.lineno}: {exc}") from None
+                # A programmed neuron that is not an open port holds the
+                # compiled instance's own data, which inputs must not replace.
+                closed = [
+                    name
+                    for name in inputs
+                    if name in compiled.network.programmed and name not in compiled.input_ports
+                ]
+                if closed:
+                    raise HostProgramError(
+                        f"line {instr.lineno}: inputs name neurons that are not open ports"
+                        f" of {instr.network!r}: {sorted(closed)}"
+                    )
             try:
-                answer = network_halting_oracle(networks[instr.network], instr.caps, inputs)
+                answer = network_halting_oracle(compiled.network, instr.caps, inputs)
             except KeyError as exc:
                 raise HostProgramError(f"line {instr.lineno}: {exc.args[0]}") from None
             bits[instr.bit] = answer.outcome

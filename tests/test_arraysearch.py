@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from snnkit import arraysearch
 from snnkit.arraysearch import (
     ArrayInstance,
+    compile_search_embedded,
     compile_search_full_input,
     compile_search_value_input,
     contains_target,
@@ -25,6 +28,7 @@ from snnkit.harness import (
     verify_equivalence,
 )
 from snnkit.model import NetworkBuilder, one_shot
+from snnkit.snnfmt import serialize_network
 
 
 def _decide(variant, instance, trace=False):
@@ -45,6 +49,27 @@ class TestInstance:
         assert contains_target(ArrayInstance((3, 5, 7), 5, 8))
         assert not contains_target(ArrayInstance((3, 5, 7), 4, 8))
         assert not contains_target(ArrayInstance((), 1, 2))
+
+    @pytest.mark.parametrize("domain", [Domain(3, 5), Domain(0, 1)], ids=repr)
+    def test_enumerated_instances_equal_checked_ones(self, domain):
+        # The enumerator skips ArrayInstance's checks; what it yields must
+        # still be exactly what the checked constructor builds.
+        instances = list(get_compiler("array-search-b").enumerate_domain(domain))
+        assert len(instances) == sum(domain.max_val ** (n + 1) for n in range(domain.max_len + 1))
+        for instance in instances:
+            checked = ArrayInstance(instance.elements, instance.target, instance.bound)
+            assert type(instance) is ArrayInstance
+            assert vars(instance) == vars(checked)
+            assert type(instance.elements) is tuple
+            assert instance == checked
+            assert hash(instance) == hash(checked)
+            assert str(instance) == str(checked)
+        last = instances[-1]
+        with pytest.raises(ValueError, match="target must satisfy"):
+            replace(last, target=domain.max_val)
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            replace(last, bound=0)
+        assert replace(last, elements=[0]).elements == (0,)
 
 
 class TestVariantA:
@@ -247,6 +272,38 @@ class TestVerdictTiming:
                 assert verdict_step == expected_accept_step(instance)
             else:
                 assert verdict_step == expected_reject_step(variant, instance)
+
+
+def _with_fresh_detector_fractions(network, n):
+    """`network` with the detector's threshold and element weights built anew from n."""
+    m = max(n, 1)
+    neurons = tuple(
+        replace(spec, threshold=Fraction(m + 1, m)) if spec.id == "acc" else spec
+        for spec in network.neurons
+    )
+    synapses = tuple(
+        syn._replace(weight=Fraction(1, m)) if syn.post == "acc" and syn.pre != "val" else syn
+        for syn in network.synapses
+    )
+    return replace(network, neurons=neurons, synapses=synapses)
+
+
+class TestDetectorParameters:
+    @pytest.mark.parametrize("sizes", [range(21), range(20, -1, -1)], ids=["up", "down"])
+    def test_networks_equal_ones_built_with_fresh_fractions(self, sizes):
+        # The detector's weight 1/n and threshold (n+1)/n are shared between
+        # compiles of one length; every length must still get its own.
+        for n in sizes:
+            elements = tuple(j % 4 for j in range(n))
+            networks = (
+                compile_search_embedded(ArrayInstance(elements, 1, 4)),
+                compile_search_value_input(elements, 4).network,
+                compile_search_full_input(n, 4).network,
+            )
+            for network in networks:
+                fresh = _with_fresh_detector_fractions(network, n)
+                assert network == fresh
+                assert serialize_network(network) == serialize_network(fresh)
 
 
 class TestBounds:

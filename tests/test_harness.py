@@ -6,7 +6,15 @@ from random import Random
 import pytest
 
 from snnkit import harness
-from snnkit.arraysearch import VARIANTS, ArrayInstance, compile_search_value_input, encode_input
+from snnkit.arraysearch import (
+    VARIANTS,
+    ArrayInstance,
+    compile_search_value_input,
+    contains_target,
+    encode_input,
+    expected_accept_step,
+    expected_reject_step,
+)
 from snnkit.engine import RunLimits, run
 from snnkit.gadgets import make_constant_firer, merge
 from snnkit.harness import (
@@ -480,6 +488,37 @@ class TestVerifyEquivalence:
         domain = Domain(max_len=3, max_val=4, random_instances=25, random_max_len=6, random_max_val=9)
         name = f"array-search-{variant}"
         assert verify_equivalence(name, domain, seed=2) == _per_instance_report(name, domain, seed=2)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_limits_are_shared_only_between_equal_values(self, variant):
+        # Each instance's cap is exactly the TIME of its verdict, so a sweep
+        # that ran one instance under another's cap would time it out.
+        def tight(instance):
+            if contains_target(instance):
+                return expected_accept_step(instance) + 1
+            return expected_reject_step(variant, instance) + 1
+
+        entry = get_compiler(f"array-search-{variant}")
+        for name, step_limit in (("tight", tight), ("short", lambda i: tight(i) - 1)):
+            register_compiler(replace(entry, name=name, step_limit=step_limit, from_flags=None))
+        domain = Domain(max_len=2, max_val=4, random_instances=10, random_max_len=4, random_max_val=9)
+        report = verify_equivalence("tight", domain, seed=1)
+        assert report == _per_instance_report("tight", domain, seed=1)
+        assert report.checked == 94 and report.mismatches == ()
+        short = verify_equivalence("short", domain, seed=1)
+        assert len(short.mismatches) == short.checked
+        assert {m.network_verdict for m in short.mismatches} == {"timeout"}
+
+    def test_step_limit_of_the_wrong_type_fails_after_an_equal_int(self):
+        entry = get_compiler("array-search-b")
+
+        def step_limit(instance):
+            limit = entry.step_limit(instance)
+            return float(limit) if instance.target == 1 else limit
+
+        register_compiler(replace(entry, name="float-limit", step_limit=step_limit, from_flags=None))
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            verify_equivalence("float-limit", Domain(max_len=0, max_val=2))
 
     def test_corrupted_split_compiler_is_caught_through_reuse(self):
         # The same mutation in a compiler whose structures the sweep reuses:

@@ -207,25 +207,72 @@ class TestErrors:
         with pytest.raises(HostProgramError):
             host_run("let n = compile array-search --variant a --target\naccept\n")
 
+    @pytest.mark.parametrize("inputs, outcome", [
+        ("val=5\n", "rejected"),
+        ("val=1\n", "accepted"),
+        ("a0=5\nval=5\n", "line 2: inputs name neurons that are not open ports of 'n': ['a0']"),
+        ("val=5\na1=5\na0=5\n", "line 2: inputs name neurons that are not open ports of 'n': ['a0', 'a1']"),
+    ], ids=["open-port-miss", "open-port-hit", "element", "elements"])
+    def test_inputs_bind_only_open_ports(self, tmp_path, inputs, outcome):
+        # The array 1,2 is compiled into the network: an inputs file may set
+        # the target on the open port `val`, but not overwrite an element.
+        (tmp_path / "f").write_text(inputs)
+        program = ("let n = compile array-search --variant b --array 1,2 --bound 8\n"
+                   "let x = oracle n inputs=f time=20 space=10 energy=10\n"
+                   "if x goto yes\nreject\nlabel yes\naccept\n")
+        if outcome.startswith("line"):
+            with pytest.raises(HostProgramError) as error:
+                host_run(program, base_dir=tmp_path)
+            assert str(error.value) == outcome
+        else:
+            result = host_run(program, base_dir=tmp_path)
+            assert [call.outcome for call in result.calls] == [outcome]
+
+    def test_inputs_after_a_target_bind_nothing(self, tmp_path):
+        (tmp_path / "f").write_text("val=1\n")
+        program = ("let n = compile array-search --variant b --array 1,2 --target 5 --bound 8\n"
+                   "let x = oracle n inputs=f time=20 space=10 energy=10\naccept\n")
+        with pytest.raises(HostProgramError) as error:
+            host_run(program, base_dir=tmp_path)
+        assert str(error.value) == "line 2: inputs name neurons that are not open ports of 'n': ['val']"
+
+    def test_closed_port_exits_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("a0=5\nval=5\n")
+        program = tmp_path / "prog.host"
+        program.write_text("let n = compile array-search --variant b --array 1,2 --bound 8\n"
+                           "let x = oracle n inputs=f time=20 space=10 energy=10\naccept\n")
+        assert main(["host", str(program)]) == 2
+        assert "line 2: inputs name neurons that are not open ports of 'n': ['a0']" in capsys.readouterr().err
+
 
 class TestBuildCompiledNetwork:
     def test_variant_a(self):
-        net = build_compiled_network(
+        compiled = build_compiled_network(
             "array-search", ("--variant", "a", "--array", "1,2", "--target", "1", "--bound", "4")
         )
-        assert net.accept == "acc"
+        assert compiled.network.accept == "acc"
+        assert compiled.input_ports == ()
 
     def test_variant_b_unbound(self):
-        net = build_compiled_network(
+        compiled = build_compiled_network(
             "array-search", ("--variant", "b", "--array", "1,2", "--bound", "4")
         )
-        assert net.programmed["val"].times == ()
+        assert compiled.network.programmed["val"].times == ()
+        assert compiled.input_ports == ("val",)
+
+    def test_variant_b_with_target_leaves_no_port_open(self):
+        compiled = build_compiled_network(
+            "array-search", ("--variant", "b", "--array", "1,2", "--target", "2", "--bound", "4")
+        )
+        assert compiled.network.programmed["val"].times == (2,)
+        assert compiled.input_ports == ()
 
     def test_variant_c_with_size(self):
-        net = build_compiled_network(
+        compiled = build_compiled_network(
             "array-search", ("--variant", "c", "--size", "2", "--bound", "4")
         )
-        assert set(net.programmed) == {"a0", "a1", "val"}
+        assert set(compiled.network.programmed) == {"a0", "a1", "val"}
+        assert compiled.input_ports == ("a0", "a1", "val")
 
     def test_unknown_compiler(self):
         with pytest.raises(HostProgramError, match="unknown compiler"):

@@ -72,7 +72,7 @@ FRONT_END_CASES = [
 @pytest.mark.parametrize("variant,flags,instance", FRONT_END_CASES)
 def test_front_ends_agree(variant, flags, instance, tmp_path):
     flags = ("--variant", variant, *flags)
-    host = build_compiled_network("array-search", flags)
+    host = build_compiled_network("array-search", flags).network
     code, cli = _cli_network("array-search", flags, tmp_path)
     assert code == 0
     assert cli == host
@@ -239,7 +239,7 @@ def fuzz_dir(tmp_path_factory):
 @given(problem=_PROBLEMS, tokens=_compile_tokens())
 def test_fuzzed_compile_args_fail_only_as_documented(problem, tokens, fuzz_dir):
     try:
-        host = build_compiled_network(problem, tuple(tokens))
+        host = build_compiled_network(problem, tuple(tokens)).network
     except HostProgramError:
         host = None
     code, cli = _cli_network(problem, tokens, fuzz_dir)

@@ -14,7 +14,6 @@ from .arraysearch import (
     compile_search_value_input,
     contains_target,
     encode_input,
-    payload_energy_bound,
 )
 from .engine import (
     ACCEPT,

@@ -19,7 +19,9 @@ Rejection fires on a deadline after every possible accept: in variant a the
 value neuron excites reject at the build-time-known step V + 2; in b/c the
 excitation travels i + (V+1) steps while the detector's inhibition travels
 (i+1) + V steps, landing together and cancelling exactly when a match
-occurred. Measured payload spikes stay within n+2 / n+3 / 2n+2 for a/b/c.
+occurred. Each variant's caps for length n and bound V are declared once, in
+`_declared_caps`: TIME V+3 (a) or 2V+1 (b, c), SPACE n+3 and payload ENERGY
+n+2, each reached on some instance.
 
 The module also registers the three compilers with the harness as
 `array-search-a|b|c`, each with its brute-force reference, its instance
@@ -41,6 +43,7 @@ from .harness import (
     CompiledStructure,
     CompilerEntry,
     Domain,
+    ResourceCaps,
     composed_build,
     register_compiler,
 )
@@ -211,31 +214,16 @@ def encode_input(
     raise ValueError(f"no input encoding for variant {variant!r}")
 
 
-def payload_energy_bound(variant: str, size: int) -> int:
-    """Guaranteed per-run payload spike ceiling for each variant."""
-    if variant == "a":
-        return size + 2
-    if variant == "b":
-        return size + 3
-    if variant == "c":
-        return 2 * size + 2
-    raise ValueError(f"unknown variant {variant!r}")
+@lru_cache(maxsize=256)
+def _declared_caps(variant: str, size: int, bound: int) -> ResourceCaps:
+    """TIME runs to the latest verdict, a reject at V+2 (a) or at i+V+1 <= 2V (b, c)."""
+    time = bound + 3 if variant == "a" else 2 * bound + 1
+    return ResourceCaps(time=time, space=size + 3, energy=size + 2)
 
 
 def step_limit(variant: str, bound: int) -> int:
     """Safe max_steps: every compiled network reaches a verdict within this."""
-    # Latest verdict: reject at V+2 (a) or at i+V+1 <= 2V (b, c).
     return 2 * bound + 4
-
-
-def expected_accept_step(instance: ArrayInstance) -> int:
-    return instance.target + 1
-
-
-def expected_reject_step(variant: str, instance: ArrayInstance) -> int:
-    if variant == "a":
-        return instance.bound + 2
-    return instance.target + instance.bound + 1
 
 
 def _instance_in_range(elements: tuple[int, ...], target: int, bound: int) -> ArrayInstance:
@@ -325,7 +313,7 @@ def _array_search_entry(variant: str) -> CompilerEntry:
         step_limit=lambda instance: step_limit(variant, instance.bound),
         enumerate_domain=_enumerate_array_instances,
         sample=_sample_array_instance,
-        payload_bound=lambda instance: payload_energy_bound(variant, instance.size),
+        caps=lambda instance: _declared_caps(variant, instance.size, instance.bound),
         split=split,
         compile=compile,
         from_flags=from_flags,

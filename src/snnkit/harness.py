@@ -143,6 +143,17 @@ class ResourceCaps:
     space: int
     energy: int
 
+    def exceeded(self, time: int, space: int, energy: int) -> tuple[str, ...]:
+        """The resources measured above their caps, in time/space/energy order.
+
+        Callers pass executed steps, payload SPACE and payload ENERGY.
+        `network_halting_oracle` reads totals instead: it charges the host.
+        """
+        if time <= self.time and space <= self.space and energy <= self.energy:
+            return ()
+        over = (time > self.time, space > self.space, energy > self.energy)
+        return tuple(name for name, is_over in zip(("time", "space", "energy"), over) if is_over)
+
 
 @dataclass(frozen=True)
 class GeneratorCost:
@@ -240,6 +251,10 @@ class CompilerEntry:
     `target` and `bound` (None when not given) and returns the compile
     arguments and the port schedules, or None for the schedules when no
     target is given. It raises ValueError on flags that name no instance.
+
+    `caps`, when declared, is the compiler's promise of TIME, payload SPACE
+    and payload ENERGY for each instance, checked on every swept instance.
+    `step_limit` is the run cap, at least the declared TIME.
     """
 
     name: str
@@ -249,7 +264,7 @@ class CompilerEntry:
     step_limit: Callable[[Any], int]
     enumerate_domain: Callable[["Domain"], Iterator[Any]] | None = None
     sample: Callable[[Random, "Domain"], Any] | None = None
-    payload_bound: Callable[[Any], int] | None = None
+    caps: Callable[[Any], ResourceCaps] | None = None
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]] | None = None
     compile: Callable[..., CompiledStructure] | None = None
     from_flags: Callable[..., tuple[tuple, Mapping[str, object] | None]] | None = None
@@ -353,11 +368,11 @@ def generate_and_decide(
     """Build, meter, optionally add a timer/meter guard, run, check the bounds.
 
     The generator's cost is `GeneratorCost.of` the network it built, before
-    any guard is added. Declared bounds are compared against the payload
-    network's measurements: payload energy (spikes excluding
-    instrumentation), payload neuron count, and executed steps. Violations
-    are reported, never fatal; the timer, when requested, turns a time
-    overrun into an actual reject verdict.
+    any guard is added. `ResourceCaps.exceeded` compares the declared
+    bounds with the payload network's measurements: executed steps, payload
+    neuron count and payload energy (spikes excluding instrumentation).
+    Violations are reported, never fatal; the timer, when requested, turns
+    a time overrun into an actual reject verdict.
     """
     entry = get_compiler(compiler)
     n = entry.size_of(instance)
@@ -374,20 +389,13 @@ def generate_and_decide(
         RunLimits(max_steps=max(caps.time, 1) + 2),
         validate=False,
     ).report
-    violations = []
-    if report.time > caps.time:
-        violations.append("time")
-    if payload_neurons > caps.space:
-        violations.append("space")
-    if report.energy_payload > caps.energy:
-        violations.append("energy")
     return Decision(
         verdict=report.verdict,
         cost=cost,
         report=report,
         size=n,
         caps=caps,
-        violations=tuple(violations),
+        violations=caps.exceeded(report.time, payload_neurons, report.energy_payload),
     )
 
 
@@ -466,13 +474,14 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     """Exhaustively sweep the small domain (plus seeded random samples).
 
     Every instance runs and is compared against the compiler's brute-force
-    reference, and its payload spikes against the entry's `payload_bound`
-    when it declares one. The entry needs `enumerate_domain`, `split` and
-    `compile`. Consecutive instances with equal compile arguments share one
-    compiled structure and plan; each runs as that plan with its own port
-    schedules. Instances with equal `step_limit` values share one
-    `RunLimits`. `inequality_violations` is always empty: every `ResourceReport`
-    already keeps ENERGY <= TIME * SPACE.
+    reference, and, when the entry declares `caps`, its TIME, payload SPACE
+    and payload ENERGY against them through `ResourceCaps.exceeded`: an
+    instance over any cap is a bound violation. The entry needs
+    `enumerate_domain`, `split` and `compile`. Consecutive instances with
+    equal compile arguments share one compiled structure and plan; each runs
+    as that plan with its own port schedules. Instances with equal
+    `step_limit` values share one `RunLimits`. `inequality_violations` is
+    always empty: every `ResourceReport` already keeps ENERGY <= TIME * SPACE.
     """
     entry = get_compiler(compiler)
     if entry.enumerate_domain is None:
@@ -486,6 +495,7 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         rng = Random(seed)
         sampled = [entry.sample(rng, domain) for _ in range(domain.random_instances)]
         instances = itertools.chain(instances, sampled)
+    declared = entry.caps
     checked = 0
     mismatches = []
     bound_violations = []
@@ -509,9 +519,10 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         expected = entry.reference(instance)
         if report.verdict != (ACCEPT if expected else REJECT):
             mismatches.append(Mismatch(instance, report.verdict, expected))
-        if entry.payload_bound is not None:
-            if report.energy_payload > entry.payload_bound(instance):
-                bound_violations.append(instance)
+        if declared is not None and declared(instance).exceeded(
+            report.time, report.neurons, report.energy_payload
+        ):
+            bound_violations.append(instance)
     return MismatchReport(checked, tuple(mismatches), tuple(bound_violations), ())
 
 

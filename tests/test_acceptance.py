@@ -63,7 +63,7 @@ def test_array_search_correctness(sweep):
 
 def test_spike_bounds_on_sweep(sweep):
     reports, _ = sweep
-    with criterion("per-variant payload spike bounds (n+2 / n+3 / 2n+2)"):
+    with criterion("declared TIME/SPACE/ENERGY caps"):
         for variant, report in reports.items():
             assert report.bound_violations == (), variant
 

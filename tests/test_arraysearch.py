@@ -13,15 +13,13 @@ from snnkit.arraysearch import (
     compile_search_value_input,
     contains_target,
     encode_input,
-    expected_accept_step,
-    expected_reject_step,
-    payload_energy_bound,
     step_limit,
 )
 from snnkit.engine import RunLimits, run
 from snnkit.harness import (
     COMPILE_FLAGS,
     Domain,
+    ResourceCaps,
     compile_from_flags,
     get_compiler,
     registered_compilers,
@@ -94,7 +92,7 @@ class TestVariantA:
         for target in range(6):
             instance = ArrayInstance((target,), target, 6)
             report, trace = _decide("a", instance, trace=True)
-            assert trace.steps[-1].t == expected_accept_step(instance)
+            assert trace.steps[-1].t == target + 1
 
 
 class TestVariantB:
@@ -196,7 +194,6 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: encode_input("c", bound=4, target=1),
          "variant c encodes the elements and the target value"),
         (lambda: encode_input("a", bound=4, target=1), "no input encoding for variant 'a'"),
-        (lambda: payload_energy_bound("d", 1), "unknown variant 'd'"),
     ],
 )
 def test_each_broken_range_rule_names_itself(call, message):
@@ -217,6 +214,13 @@ class TestDuplicates:
         for variant in ("a", "b", "c"):
             report, _ = _decide(variant, ArrayInstance((2, 2, 2), 2, 4))
             assert report.verdict == "accept", variant
+
+
+def _assert_within_caps(variant, instance, report):
+    caps = get_compiler(f"array-search-{variant}").caps(instance)
+    assert report.time <= caps.time, instance
+    assert report.neurons <= caps.space, instance
+    assert report.energy_payload <= caps.energy, instance
 
 
 class TestOracleEquivalenceSmall:
@@ -242,7 +246,7 @@ class TestOracleEquivalenceSmall:
             report, _ = _decide(variant, instance)
             expected = "accept" if contains_target(instance) else "reject"
             assert report.verdict == expected, instance
-            assert report.energy_payload <= payload_energy_bound(variant, length)
+            _assert_within_caps(variant, instance, report)
 
     @pytest.mark.parametrize("variant", ("a", "b", "c"))
     def test_thousand_seeded_random_instances(self, variant):
@@ -254,7 +258,7 @@ class TestOracleEquivalenceSmall:
             report, _ = _decide(variant, instance)
             expected = "accept" if contains_target(instance) else "reject"
             assert report.verdict == expected, instance
-            assert report.energy_payload <= payload_energy_bound(variant, length)
+            _assert_within_caps(variant, instance, report)
 
 
 class TestVerdictTiming:
@@ -269,9 +273,11 @@ class TestVerdictTiming:
             report, trace = _decide(variant, instance, trace=True)
             verdict_step = trace.steps[-1].t
             if contains_target(instance):
-                assert verdict_step == expected_accept_step(instance)
+                assert verdict_step == instance.target + 1
+            elif variant == "a":
+                assert verdict_step == instance.bound + 2
             else:
-                assert verdict_step == expected_reject_step(variant, instance)
+                assert verdict_step == instance.target + instance.bound + 1
 
 
 def _with_fresh_detector_fractions(network, n):
@@ -308,9 +314,35 @@ class TestDetectorParameters:
 
 class TestBounds:
     def test_bound_table(self):
-        assert payload_energy_bound("a", 3) == 5
-        assert payload_energy_bound("b", 3) == 6
-        assert payload_energy_bound("c", 3) == 8
+        instance = ArrayInstance((1, 2, 3), 0, 8)
+        caps = {v: get_compiler(f"array-search-{v}").caps(instance) for v in "abc"}
+        assert caps["a"] == ResourceCaps(time=11, space=6, energy=5)
+        assert caps["b"] == caps["c"] == ResourceCaps(time=17, space=6, energy=5)
+
+    @pytest.mark.parametrize("variant", ("a", "b", "c"))
+    def test_every_declared_cap_is_reached_for_each_length(self, variant):
+        # Over Domain(3, 4), each length's worst instance meets every cap:
+        # none of TIME, SPACE and ENERGY is declared with slack.
+        entry = get_compiler(f"array-search-{variant}")
+        worst = {}
+        for instance in entry.enumerate_domain(Domain(3, 4)):
+            report, _ = _decide(variant, instance)
+            measured = (report.time, report.neurons, report.energy_payload)
+            previous = worst.get(instance.size, (0, 0, 0))
+            worst[instance.size] = tuple(map(max, previous, measured))
+        for size, measured in worst.items():
+            caps = entry.caps(ArrayInstance((0,) * size, 0, 4))
+            assert measured == (caps.time, caps.space, caps.energy), size
+
+    @pytest.mark.parametrize("variant", ("a", "b", "c"))
+    def test_run_cap_covers_the_declared_time(self, variant):
+        entry = get_compiler(f"array-search-{variant}")
+        domain = Domain(3, 6, random_instances=300)
+        rng = Random(5)
+        instances = list(entry.enumerate_domain(domain))
+        instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+        for instance in instances:
+            assert entry.step_limit(instance) >= entry.caps(instance).time, instance
 
 
 class TestCallTimeLookup:

@@ -12,8 +12,6 @@ from snnkit.arraysearch import (
     compile_search_value_input,
     contains_target,
     encode_input,
-    expected_accept_step,
-    expected_reject_step,
 )
 from snnkit.engine import RunLimits, run
 from snnkit.gadgets import make_constant_firer, merge
@@ -116,6 +114,21 @@ class TestResourceBound:
         with pytest.raises(ValueError) as error:
             make()
         assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "measured, over",
+        [
+            ((5, 4, 3), ()),
+            ((0, 0, 0), ()),
+            ((6, 4, 3), ("time",)),
+            ((5, 5, 3), ("space",)),
+            ((5, 4, 4), ("energy",)),
+            ((6, 5, 4), ("time", "space", "energy")),
+            ((6, 4, 4), ("time", "energy")),
+        ],
+    )
+    def test_exceeded_names_the_resources_over_their_caps(self, measured, over):
+        assert ResourceCaps(time=5, space=4, energy=3).exceeded(*measured) == over
 
     def test_caps_floor(self):
         bounds = ResourceBounds(
@@ -323,6 +336,16 @@ class TestOracle:
             elif answer.outcome == REJECTED:
                 assert report.verdict == "reject"
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_declared_caps_keep_the_oracle_promise(self, variant):
+        # A compiler's declared caps are a promise its networks keep, so the
+        # oracle answers every instance under them.
+        entry = get_compiler(f"array-search-{variant}")
+        for instance in entry.enumerate_domain(Domain(2, 4)):
+            network = entry.build(instance, NetworkBuilder())
+            answer = network_halting_oracle(network, entry.caps(instance))
+            assert answer.outcome == (ACCEPTED if contains_target(instance) else REJECTED), instance
+
     def test_promise_monotonicity(self):
         # Loosening every cap never flips accepted <-> rejected; it can only
         # turn promise_violated into a definite answer.
@@ -348,8 +371,13 @@ def _per_instance_report(compiler, domain, seed):
         expected = entry.reference(instance)
         if report.verdict != ("accept" if expected else "reject"):
             mismatches.append(Mismatch(instance, report.verdict, expected))
-        if entry.payload_bound is not None:
-            if report.energy_payload > entry.payload_bound(instance):
+        if entry.caps is not None:
+            caps = entry.caps(instance)
+            if (
+                report.time > caps.time
+                or report.neurons > caps.space
+                or report.energy_payload > caps.energy
+            ):
                 bound_violations.append(instance)
     return MismatchReport(len(instances), tuple(mismatches), tuple(bound_violations), ())
 
@@ -495,8 +523,10 @@ class TestVerifyEquivalence:
         # that ran one instance under another's cap would time it out.
         def tight(instance):
             if contains_target(instance):
-                return expected_accept_step(instance) + 1
-            return expected_reject_step(variant, instance) + 1
+                return instance.target + 2  # accept at i + 1
+            if variant == "a":
+                return instance.bound + 3  # reject at V + 2
+            return instance.target + instance.bound + 2  # reject at i + V + 1
 
         entry = get_compiler(f"array-search-{variant}")
         for name, step_limit in (("tight", tight), ("short", lambda i: tight(i) - 1)):
@@ -560,22 +590,22 @@ class TestVerifyEquivalence:
             verify_equivalence("array-search-c-portless", Domain(max_len=1, max_val=2))
         assert str(excinfo.value) == "ports left unbound: ['val']"
 
-    def test_payload_bound_one_too_low_is_reported(self):
-        entry = get_compiler("array-search-a")
-        register_compiler(
-            replace(
-                entry,
-                name="array-search-a-tight",
-                payload_bound=lambda instance: entry.payload_bound(instance) - 1,
-                from_flags=None,
-            )
-        )
+    @pytest.mark.parametrize("resource", ["time", "space", "energy"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_declared_cap_one_too_low_is_reported(self, variant, resource):
+        entry = get_compiler(f"array-search-{variant}")
+
+        def caps(instance):
+            declared = entry.caps(instance)
+            return replace(declared, **{resource: getattr(declared, resource) - 1})
+
+        register_compiler(replace(entry, name="tight", caps=caps, from_flags=None))
         domain = Domain(max_len=3, max_val=4)
-        assert verify_equivalence("array-search-a", domain).bound_violations == ()
-        report = verify_equivalence("array-search-a-tight", domain)
+        assert verify_equivalence(entry.name, domain).bound_violations == ()
+        report = verify_equivalence("tight", domain)
         assert report.mismatches == ()
         assert len(report.bound_violations) > 0
-        assert report == _per_instance_report("array-search-a-tight", domain, seed=0)
+        assert report == _per_instance_report("tight", domain, seed=0)
 
     def test_registry_lists_array_search(self):
         names = registered_compilers()

@@ -8,20 +8,21 @@ trade generality against spikes:
 * variant b: A baked in, i supplied at run time on a value port;
 * variant c: only the array length fixed; A and i both supplied on ports.
 
-All variants share the coincidence detector: element spikes reach it with
-weight 1/n and the value spike with weight 1 through delay-1 synapses, and
-its threshold 1 + 1/n (memoryless, leak 0) is crossed exactly when the
-value spike lands together with at least one element spike. The 1/n element
-weights keep any number of duplicate elements alone below threshold.
-Acceptance therefore happens at step i + 1.
+The variants compile one network and differ only in which spikes they bind
+at compile time and in reject's deadline. Element spikes reach the
+coincidence detector with weight 1/n and the value spike with weight 1
+through delay-1 synapses, and its threshold 1 + 1/n (memoryless, leak 0) is
+crossed exactly when the value spike lands together with at least one
+element spike. The 1/n element weights keep any number of duplicate
+elements alone below threshold. Acceptance therefore happens at step i + 1.
 
-Rejection fires on a deadline after every possible accept: in variant a the
-value neuron excites reject at the build-time-known step V + 2; in b/c the
-excitation travels i + (V+1) steps while the detector's inhibition travels
-(i+1) + V steps, landing together and cancelling exactly when a match
-occurred. Each variant's caps for length n and bound V are declared once, in
-`_declared_caps`: TIME V+3 (a) or 2V+1 (b, c), SPACE n+3 and payload ENERGY
-n+2, each reached on some instance.
+Excitation reaches reject `deadline` steps after the value spike and the
+detector's inhibition one step sooner, so the two cancel exactly on a match.
+The deadline is V + 2 - i in a, which knows i, and V + 1 in b and c, so
+reject fires at V + 2 (a) or i + V + 1 (b, c). Each variant's caps for
+length n and bound V are declared once, in `_declared_caps`: TIME V+3 (a)
+or 2V+1 (b, c), SPACE n+3 and payload ENERGY n+2, each reached on some
+instance.
 
 The module also registers the three compilers with the harness as
 `array-search-a|b|c`, each with its brute-force reference, its instance
@@ -66,12 +67,19 @@ def element_port(j: int) -> str:
 
 
 def _check_values(bound: int, target: int | None = None, elements: Iterable[int] = ()) -> None:
-    """Raise ValueError unless bound >= 1 and the target and elements lie below it."""
+    """Raise ValueError unless bound >= 1 and the target and elements lie below it, all ints."""
+    if type(bound) is not int:
+        raise ValueError("bound must be an integer")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if target is not None and not 0 <= target < bound:
-        raise ValueError("target must satisfy 0 <= target < bound")
+    if target is not None:
+        if type(target) is not int:
+            raise ValueError("target must be an integer")
+        if not 0 <= target < bound:
+            raise ValueError("target must satisfy 0 <= target < bound")
     for value in elements:
+        if type(value) is not int:
+            raise ValueError("array elements must be integers")
         if not 0 <= value < bound:
             raise ValueError("array elements must satisfy 0 <= element < bound")
 
@@ -116,36 +124,43 @@ def _detector_parameters(m: int) -> tuple[Fraction, Fraction]:
     return Fraction(1, m), Fraction(m + 1, m)
 
 
-def _wire_common(builder: NetworkBuilder, n: int) -> None:
+def _build_search(
+    builder: NetworkBuilder | None,
+    elements: list[ExplicitSchedule],
+    value: ExplicitSchedule,
+    deadline: int,
+) -> Network:
+    """The one search network: port a<j> spikes on `elements[j]`, the value port on `value`.
+
+    A variant leaves a port open by passing an `ExplicitSchedule()` placeholder.
+    """
+    builder = builder if builder is not None else NetworkBuilder()
     # Detector fires only on value+element coincidence; duplicates alone
     # sum to at most n * (1/n) = 1 < threshold 1 + 1/n.
-    weight, threshold = _detector_parameters(max(n, 1))
+    weight, threshold = _detector_parameters(max(len(elements), 1))
     builder.add_neuron(DETECTOR, threshold=threshold, reset=_ZERO, leak=_ZERO)
     builder.add_neuron(REJECTOR)
-    for j in range(n):
+    for j, schedule in enumerate(elements):
+        builder.add_input(element_port(j), schedule)
         builder.add_synapse(element_port(j), DETECTOR, weight=weight)
-    if n >= 1:
+    builder.add_input(VALUE_PORT, value)
+    if elements:
         builder.add_synapse(VALUE_PORT, DETECTOR)
+    builder.add_synapse(VALUE_PORT, REJECTOR, delay=deadline)
+    if elements:
+        builder.add_synapse(DETECTOR, REJECTOR, delay=deadline - 1, weight=_INHIBIT)
     builder.set_accept(DETECTOR)
     builder.set_reject(REJECTOR)
+    return builder.build()
 
 
 def compile_search_embedded(
     instance: ArrayInstance, builder: NetworkBuilder | None = None
 ) -> Network:
     """Variant a: the whole instance is encoded in the network."""
-    builder = builder if builder is not None else NetworkBuilder()
-    for j, value in enumerate(instance.elements):
-        builder.add_input(element_port(j), one_shot(value))
-    builder.add_input(VALUE_PORT, one_shot(instance.target))
-    _wire_common(builder, instance.size)
-    # Deadline step V+2 is computable at build time because i is embedded.
-    builder.add_synapse(VALUE_PORT, REJECTOR, delay=instance.bound + 2 - instance.target)
-    if instance.size >= 1:
-        builder.add_synapse(
-            DETECTOR, REJECTOR, delay=instance.bound + 1 - instance.target, weight=_INHIBIT
-        )
-    return builder.build()
+    elements = [one_shot(value) for value in instance.elements]
+    deadline = instance.bound + 2 - instance.target
+    return _build_search(builder, elements, one_shot(instance.target), deadline)
 
 
 def compile_search_value_input(
@@ -154,40 +169,22 @@ def compile_search_value_input(
     """Variant b: elements embedded, the value arrives on an open port."""
     elements = tuple(elements)
     _check_values(bound, elements=elements)
-    builder = builder if builder is not None else NetworkBuilder()
-    for j, value in enumerate(elements):
-        builder.add_input(element_port(j), one_shot(value))
-    builder.add_input(VALUE_PORT, ExplicitSchedule())
-    n = len(elements)
-    _wire_common(builder, n)
-    _wire_delay_invariant_reject(builder, n, bound)
-    return CompiledSearch(builder.build(), (VALUE_PORT,))
+    schedules = [one_shot(value) for value in elements]
+    network = _build_search(builder, schedules, ExplicitSchedule(), bound + 1)
+    return CompiledSearch(network, (VALUE_PORT,))
 
 
 def compile_search_full_input(
     size: int, bound: int, builder: NetworkBuilder | None = None
 ) -> CompiledSearch:
     """Variant c: only the array length is fixed; everything arrives on ports."""
+    if type(size) is not int:
+        raise ValueError("size must be an integer")
     if size < 0:
         raise ValueError("size must be >= 0")
     _check_values(bound)
-    builder = builder if builder is not None else NetworkBuilder()
-    for j in range(size):
-        builder.add_input(element_port(j), ExplicitSchedule())
-    builder.add_input(VALUE_PORT, ExplicitSchedule())
-    _wire_common(builder, size)
-    _wire_delay_invariant_reject(builder, size, bound)
-    ports = tuple(element_port(j) for j in range(size)) + (VALUE_PORT,)
-    return CompiledSearch(builder.build(), ports)
-
-
-def _wire_delay_invariant_reject(builder: NetworkBuilder, n: int, bound: int) -> None:
-    # Excitation (via value, delay V+1) and inhibition (via detector, delay V)
-    # both land at step i + V + 1 whatever i is, cancelling iff a match fired
-    # the detector at i + 1.
-    builder.add_synapse(VALUE_PORT, REJECTOR, delay=bound + 1)
-    if n >= 1:
-        builder.add_synapse(DETECTOR, REJECTOR, delay=bound, weight=_INHIBIT)
+    network = _build_search(builder, [ExplicitSchedule()] * size, ExplicitSchedule(), bound + 1)
+    return CompiledSearch(network, tuple(map(element_port, range(size))) + (VALUE_PORT,))
 
 
 def encode_input(

@@ -283,6 +283,8 @@ class _Parser:
         self.gadget_tags.add(name)
 
     def finish(self) -> Network:
+        if not self.header_seen:  # no significant line at all
+            self.err(1, f"expected header {HEADER!r}")
         for what, name, lineno in self.pending_refs:
             if name not in self.declared:
                 self.err(lineno, f"{what} names unknown id {name!r}")

@@ -194,6 +194,20 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: encode_input("c", bound=4, target=1),
          "variant c encodes the elements and the target value"),
         (lambda: encode_input("a", bound=4, target=1), "no input encoding for variant 'a'"),
+        # Only an exact int passes: no float, and no bool, though both compare as numbers.
+        (lambda: ArrayInstance((1.0,), 1, 4), "array elements must be integers"),
+        (lambda: ArrayInstance((True,), 0, 2), "array elements must be integers"),
+        (lambda: ArrayInstance((), 0, True), "bound must be an integer"),
+        (lambda: ArrayInstance((1,), 1.0, 4), "target must be an integer"),
+        (lambda: compile_search_full_input(True, 4), "size must be an integer"),
+        (lambda: compile_search_full_input(2.0, 4), "size must be an integer"),
+        (lambda: compile_search_full_input(2, 4.0), "bound must be an integer"),
+        (lambda: compile_search_value_input((1,), 4.0), "bound must be an integer"),
+        (lambda: compile_search_value_input((0, False), 4), "array elements must be integers"),
+        (lambda: encode_input("b", bound=4, target=1.0), "target must be an integer"),
+        (lambda: encode_input("b", bound=True, target=0), "bound must be an integer"),
+        (lambda: encode_input("c", bound=4, target=0, elements=(2.0,)),
+         "array elements must be integers"),
     ],
 )
 def test_each_broken_range_rule_names_itself(call, message):
@@ -310,6 +324,20 @@ class TestDetectorParameters:
                 fresh = _with_fresh_detector_fractions(network, n)
                 assert network == fresh
                 assert serialize_network(network) == serialize_network(fresh)
+
+
+class TestOneNetwork:
+    def test_b_is_c_with_the_elements_bound(self):
+        domain = Domain(3, 6)
+        for length in range(domain.max_len + 1):
+            c = compile_search_full_input(length, domain.max_val).network
+            for array in itertools.product(range(domain.max_val), repeat=length):
+                b = compile_search_value_input(array, domain.max_val).network
+                bound = c.bind_schedules(
+                    {f"a{j}": one_shot(value) for j, value in enumerate(array)}
+                )
+                assert b == bound, array
+                assert serialize_network(b) == serialize_network(bound), array
 
 
 class TestBounds:

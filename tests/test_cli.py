@@ -60,6 +60,10 @@ class TestSim:
         assert code == 2
         assert "delay must be >= 1" in err
 
+    def test_empty_stdin_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(["sim", "-"], capsys, stdin="", monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: line 1: expected header 'snn 1'\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["sim", "/nonexistent/net.snn"], capsys)
         assert code == 2
@@ -133,6 +137,12 @@ class TestGadget:
         assert code == 0
         net = parse_network(out)
         assert "meter" in net.gadget_tags
+
+    def test_attach_to_text_without_a_header_exit_2(self, tmp_path, capsys):
+        base = tmp_path / "base.snn"
+        base.write_text("# no network here\n")
+        code, out, err = run_cli(["gadget", "timer", "--bound", "4", "--attach", str(base)], capsys)
+        assert (code, out, err) == (2, "", "error: line 1: expected header 'snn 1'\n")
 
     @pytest.mark.parametrize("kind", ["constant", "clock", "number"])
     def test_invalid_prefix_is_usage_error(self, kind, capsys):

@@ -159,3 +159,27 @@ def test_parse_caches_live_on_the_parser():
         ):
             assigned.update(getattr(target, "id", None) for target in targets)
     assert assigned == {"_DIRECTIVES"}
+
+
+def _innermost_callers(tree: ast.AST, names: set[str]) -> set[str]:
+    """The functions whose own bodies, not those of functions nested in them, call one of `names`."""
+    callers = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in names:
+                callers.add(function)
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_array_search_wires_its_network_in_one_function():
+    # The three variants compile one network and differ only in its arguments.
+    wiring = {"add_neuron", "add_input", "add_synapse", "set_accept", "set_reject"}
+    callers = _innermost_callers(_trees()["arraysearch"], wiring)
+    assert len(callers) == 1 and "<module>" not in callers, callers

@@ -141,6 +141,11 @@ def test_missing_header():
     assert any("expected header" in e for e in errors)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n", "# only a comment\n\n  # and another\n"])
+def test_text_without_a_significant_line_lacks_the_header(text):
+    assert _errors(text) == ["line 1: expected header 'snn 1'"]
+
+
 def test_zero_delay_reports_line():
     errors = _errors("snn 1\nneuron a\nneuron b\nsynapse a -> b delay=0\naccept a\n")
     assert errors == ["line 4: delay must be >= 1"]

@@ -59,8 +59,12 @@ def _write_files_together(files: list[tuple[str, str]]) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _load_network(path: str):
-    return snnfmt.parse_network(_read_text(path))
+def _load_network(path: str, inputs: str | None = None):
+    # `.snn` text declares no ports, so a sidecar may rebind any programmed neuron.
+    network = snnfmt.parse_network(_read_text(path))
+    if inputs:
+        network = network.bind_schedules(snnfmt.parse_port_bindings(_read_text(inputs)))
+    return network
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -72,9 +76,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _cmd_sim(args) -> int:
-    network = _load_network(args.network)
-    if args.inputs:
-        network = network.bind_schedules(snnfmt.parse_port_bindings(_read_text(args.inputs)))
+    network = _load_network(args.network, args.inputs)
     limits = engine.RunLimits(max_steps=args.max_steps, max_total_spikes=args.max_spikes)
     want_trace = args.trace or args.raster
     report, trace = engine.run(network, limits, trace=want_trace)
@@ -137,12 +139,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    network = _load_network(args.network)
-    inputs = None
-    if args.inputs:
-        inputs = snnfmt.parse_port_bindings(_read_text(args.inputs))
+    network = _load_network(args.network, args.inputs)
     caps = harness.ResourceCaps(time=args.time, space=args.space, energy=args.energy)
-    answer = harness.network_halting_oracle(network, caps, inputs)
+    answer = harness.network_halting_oracle(network, caps)
     print(f"outcome={answer.outcome}")
     print(engine.format_report_line(answer.report))
     if answer.outcome == harness.ACCEPTED:

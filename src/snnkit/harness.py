@@ -210,8 +210,8 @@ class CompiledStructure:
     `network` is the structure with its ports unscheduled, already validated:
     a compiler builds it with `NetworkBuilder.build()`, which checks it, so
     its users serialize or plan it without checking it again. The harness,
-    the command line and the host language bind ports only through
-    `check_ports` and `bind`.
+    the command line and the host language, oracle calls included, bind
+    ports only through `check_ports` and `bind`.
     """
 
     network: Network
@@ -399,13 +399,11 @@ def generate_and_decide(
     )
 
 
-def network_halting_oracle(
-    network: Network,
-    caps: ResourceCaps,
-    inputs: Mapping[str, object] | None = None,
-) -> OracleAnswer:
+def network_halting_oracle(network: Network, caps: ResourceCaps) -> OracleAnswer:
     """Decide whether a promise-bounded network accepts.
 
+    The network is asked about as given: the oracle binds no port, so a
+    caller with a `CompiledStructure` passes what its `bind` returns.
     Simulation is capped at the declared time and energy, so the caller's
     cost never exceeds the bounds even when the promise is broken. The
     outcome is "accepted"/"rejected" when the run stays inside the caps and
@@ -414,8 +412,6 @@ def network_halting_oracle(
     network's neuron count, which no run changes) answer "promise_violated"
     without simulating.
     """
-    if inputs:
-        network = network.bind_schedules(inputs)
     neurons = network.size()
     synapses = len(network.synapses)
     if caps.time < 1 or caps.energy < 0 or neurons > caps.space:

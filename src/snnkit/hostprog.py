@@ -16,9 +16,10 @@ lets programs branch on the distinguished promise-violation outcome.
 Compile args are the command line's compile flags, parsed by the same
 `harness.COMPILE_FLAGS`, e.g. ``array-search --variant b --array 1,2 --bound 4``;
 ``--flag=value`` works, abbreviations are rejected, and every integer (the
-oracle caps too) is ASCII ``-?[0-9]+``. An oracle's inputs file may bind
-only the ports its network's ``compile`` left open, which are none when
-``--target`` bound them; naming another programmed neuron is an error.
+oracle caps too) is ASCII ``-?[0-9]+``. Each oracle call is a whole
+instance: its inputs file, none meaning no bindings, goes through
+`CompiledStructure.bind`, so it must bind exactly the ports its network's
+``compile`` left open, which are none when ``--target`` bound them.
 
 Execution is sequential and the call log records every oracle query.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .harness import (
     ACCEPTED,
@@ -109,9 +109,9 @@ def build_compiled_network(
 ) -> CompiledStructure:
     """Build a network from CLI-style compile arguments, with the ports it leaves open.
 
-    Without a --target the network's input ports are left unbound and open,
-    to be filled via the oracle's inputs file; a --target binds them all and
-    leaves none open.
+    Without a --target the network's input ports are left open, for each
+    oracle call's inputs file to bind; a --target binds them all through
+    `CompiledStructure.bind` and leaves none open.
     """
     try:
         flags, extra = COMPILE_FLAGS.parse_known_args(args)
@@ -120,8 +120,7 @@ def build_compiled_network(
         compiled, schedules = compile_from_flags(compiler, flags)
         if schedules is None:
             return compiled
-        # compile_from_flags has checked the schedules against the ports.
-        return CompiledStructure(compiled.network.bind_schedules(schedules), ())
+        return CompiledStructure(compiled.bind(schedules), ())
     except ValueError as exc:
         raise HostProgramError(f"line {lineno}: {exc}") from None
 
@@ -236,29 +235,14 @@ def host_run(
                 raise HostProgramError(
                     f"line {instr.lineno}: no network named {instr.network!r} has been built"
                 )
-            compiled = networks[instr.network]
-            inputs: Mapping[str, object] | None = None
-            if instr.inputs_file is not None:
-                try:
-                    inputs = parse_port_bindings((base / instr.inputs_file).read_text())
-                except (OSError, ValueError) as exc:
-                    raise HostProgramError(f"line {instr.lineno}: {exc}") from None
-                # A programmed neuron that is not an open port holds the
-                # compiled instance's own data, which inputs must not replace.
-                closed = [
-                    name
-                    for name in inputs
-                    if name in compiled.network.programmed and name not in compiled.input_ports
-                ]
-                if closed:
-                    raise HostProgramError(
-                        f"line {instr.lineno}: inputs name neurons that are not open ports"
-                        f" of {instr.network!r}: {sorted(closed)}"
-                    )
             try:
-                answer = network_halting_oracle(compiled.network, instr.caps, inputs)
-            except KeyError as exc:
-                raise HostProgramError(f"line {instr.lineno}: {exc.args[0]}") from None
+                inputs = {}
+                if instr.inputs_file is not None:
+                    inputs = parse_port_bindings((base / instr.inputs_file).read_text())
+                network = networks[instr.network].bind(inputs)
+            except (OSError, ValueError) as exc:
+                raise HostProgramError(f"line {instr.lineno}: {exc}") from None
+            answer = network_halting_oracle(network, instr.caps)
             bits[instr.bit] = answer.outcome
             calls.append(
                 OracleCall(

@@ -23,8 +23,9 @@ The line rules, which apply `model`'s rules as each line is read, are the
 one check of `.snn` text; `engine.Simulation` still validates before stepping.
 
 The same module handles the sidecar port-binding files consumed by
-``sim --inputs``: one ``port=<schedule>`` line per port, where <schedule>
-is ``t1;t2;...`` or ``periodic:<offset>:<period>``.
+``sim --inputs``, ``oracle --inputs`` and the host's oracle calls: one
+``port=<schedule>`` line per port, where <schedule> is ``t1;t2;...`` or
+``periodic:<offset>:<period>``.
 """
 
 from __future__ import annotations
@@ -424,6 +425,19 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
 
 
 def serialize_port_bindings(bindings: Mapping[str, SpikeSchedule]) -> str:
+    """Sidecar text, one `port=<schedule>` line per port in sorted order.
+
+    A port name that `is_valid_id` refuses, or a schedule that breaks the
+    model's rules, which `parse_port_bindings` would refuse or read back as
+    another binding, raises InvalidNetworkError naming each.
+    """
+    errors = []
+    for name, sched in bindings.items():
+        if not is_valid_id(name):
+            errors.append(f"port {name!r} cannot be written as a sidecar line")
+        errors += (f"port {name!r}: {reason}" for reason in schedule_violations(sched))
+    if errors:
+        raise InvalidNetworkError(errors)
     lines = []
     for name in sorted(bindings):
         sched = bindings[name]

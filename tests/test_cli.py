@@ -374,6 +374,24 @@ class TestOracle:
         assert code == 3
         assert "outcome=promise_violated" in out
 
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    def test_inputs_bind_a_compiled_sidecar(self, tmp_path, capsys, variant):
+        net, sidecar = tmp_path / "net.snn", tmp_path / "net.in"
+        code, _, _ = run_cli(
+            ["compile", "array-search", "--variant", variant, "--array", "3,5,7", "--target", "5",
+             "--bound", "8", "--output", str(net), "--inputs-out", str(sidecar)],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["oracle", str(net), "--time", "20", "--space", "8", "--energy", "8",
+             "--inputs", str(sidecar)],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "outcome=accepted"
+        assert out.splitlines()[1].startswith("verdict=accept ")
+
 
 class TestHost:
     def test_host_program(self, tmp_path, capsys):

@@ -259,9 +259,8 @@ class TestOracle:
     def test_variant_b_with_inputs(self):
         compiled = compile_search_value_input((3, 5, 7), 8)
         answer = network_halting_oracle(
-            compiled.network,
+            compiled.bind(encode_input("b", bound=8, target=5)),
             _caps(20, 6, 6),
-            inputs=encode_input("b", bound=8, target=5),
         )
         assert answer.outcome == ACCEPTED
         assert answer.report.energy_payload <= 3 + 3
@@ -269,9 +268,8 @@ class TestOracle:
     def test_rejected(self):
         compiled = compile_search_value_input((3,), 8)
         answer = network_halting_oracle(
-            compiled.network,
+            compiled.bind(encode_input("b", bound=8, target=4)),
             _caps(20, 6, 6),
-            inputs=encode_input("b", bound=8, target=4),
         )
         assert answer.outcome == REJECTED
 

@@ -192,7 +192,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("inputs, message", [
         (None, "line 2: [Errno 2] No such file or directory"),
-        ("zz=1\n", "line 2: no programmed neuron 'zz' to bind"),
+        ("zz=1\n", "line 2: unknown input ports: ['zz']"),
     ])
     def test_bad_inputs_file_names_its_line(self, tmp_path, inputs, message):
         if inputs is not None:
@@ -210,8 +210,8 @@ class TestErrors:
     @pytest.mark.parametrize("inputs, outcome", [
         ("val=5\n", "rejected"),
         ("val=1\n", "accepted"),
-        ("a0=5\nval=5\n", "line 2: inputs name neurons that are not open ports of 'n': ['a0']"),
-        ("val=5\na1=5\na0=5\n", "line 2: inputs name neurons that are not open ports of 'n': ['a0', 'a1']"),
+        ("a0=5\nval=5\n", "line 2: unknown input ports: ['a0']"),
+        ("val=5\na1=5\na0=5\n", "line 2: unknown input ports: ['a0', 'a1']"),
     ], ids=["open-port-miss", "open-port-hit", "element", "elements"])
     def test_inputs_bind_only_open_ports(self, tmp_path, inputs, outcome):
         # The array 1,2 is compiled into the network: an inputs file may set
@@ -234,7 +234,26 @@ class TestErrors:
                    "let x = oracle n inputs=f time=20 space=10 energy=10\naccept\n")
         with pytest.raises(HostProgramError) as error:
             host_run(program, base_dir=tmp_path)
-        assert str(error.value) == "line 2: inputs name neurons that are not open ports of 'n': ['val']"
+        assert str(error.value) == "line 2: unknown input ports: ['val']"
+
+    @pytest.mark.parametrize("compile_args, inputs, message", [
+        ("--variant c --size 2 --bound 8", "val=5\n", "line 2: ports left unbound: ['a0', 'a1']"),
+        ("--variant b --array 1,2 --bound 8", None, "line 2: ports left unbound: ['val']"),
+    ], ids=["c-elements", "b-value"])
+    def test_oracle_call_binds_every_open_port(self, tmp_path, capsys, compile_args, inputs, message):
+        # Each oracle call asks about a whole instance, never a half-bound structure.
+        inputs_token = ""
+        if inputs is not None:
+            (tmp_path / "f").write_text(inputs)
+            inputs_token = " inputs=f"
+        program = tmp_path / "prog.host"
+        program.write_text(f"let n = compile array-search {compile_args}\n"
+                           f"let x = oracle n{inputs_token} time=20 space=10 energy=10\naccept\n")
+        with pytest.raises(HostProgramError) as error:
+            host_run(program.read_text(), base_dir=tmp_path)
+        assert str(error.value) == message
+        assert main(["host", str(program)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_closed_port_exits_2(self, tmp_path, capsys):
         (tmp_path / "f").write_text("a0=5\nval=5\n")
@@ -242,7 +261,7 @@ class TestErrors:
         program.write_text("let n = compile array-search --variant b --array 1,2 --bound 8\n"
                            "let x = oracle n inputs=f time=20 space=10 energy=10\naccept\n")
         assert main(["host", str(program)]) == 2
-        assert "line 2: inputs name neurons that are not open ports of 'n': ['a0']" in capsys.readouterr().err
+        assert "line 2: unknown input ports: ['a0']" in capsys.readouterr().err
 
 
 class TestBuildCompiledNetwork:

@@ -7,9 +7,10 @@ harness may import the machine layers beneath it but no family. The gadgets
 build their networks through `NetworkBuilder`, and the rules for a
 well-formed neuron, schedule and synapse delay, and for rebinding a
 schedule, are written once, in `model`. The port rule of a compiled
-structure is written once, in `harness`, and generator cost is read off the
-generated network, so no module needs a builder of its own. The `.snn`
-parser keeps its caches on the parser object, so none outlives one parse.
+structure is written once, in `harness`, and the host language binds only
+through it. Generator cost is read off the generated network, so no module
+needs a builder of its own. The `.snn` parser keeps its caches on the
+parser object, so none outlives one parse.
 These checks read the sources as text and import nothing.
 """
 
@@ -96,6 +97,22 @@ def test_binding_rule_is_called_in_model_only():
         module for module, tree in _trees().items() if "checked_bindings" in _called_names(tree)
     }
     assert callers == {"model"}
+
+
+def test_host_binds_ports_through_the_port_rule():
+    # A network's schedules are rebound directly only by the plan, the port
+    # rule and `.snn` sidecars, which have no ports; the host language binds
+    # through `CompiledStructure.bind` and never looks at programmed neurons.
+    callers = {
+        module for module, tree in _trees().items() if "bind_schedules" in _called_names(tree)
+    }
+    assert callers == {"engine", "harness", "cli"}
+    reads = [
+        node
+        for node in ast.walk(_trees()["hostprog"])
+        if isinstance(node, ast.Attribute) and node.attr == "programmed"
+    ]
+    assert reads == []
 
 
 def test_port_rule_lives_in_harness_only():

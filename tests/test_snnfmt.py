@@ -367,6 +367,54 @@ def test_port_bindings_round_trip():
     assert parse_port_bindings(text) == bindings
 
 
+def _sidecar_line(name, schedule):
+    """The sidecar line of a binding, written without the writer's checks."""
+    if isinstance(schedule, PeriodicSchedule):
+        return f"{name}=periodic:{schedule.offset}:{schedule.period}\n"
+    return f"{name}=" + ";".join(str(t) for t in schedule.times) + "\n"
+
+
+port_schedules = st.one_of(
+    st.builds(PeriodicSchedule, st.integers(0, 2**70), st.integers(1, 2**70)),
+    st.lists(st.integers(0, 2**70), max_size=5, unique=True).map(
+        lambda times: ExplicitSchedule(tuple(sorted(times)))
+    ),
+)
+
+
+@given(st.dictionaries(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True), port_schedules, max_size=6))
+def test_valid_port_bindings_round_trip(bindings):
+    assert parse_port_bindings(serialize_port_bindings(bindings)) == bindings
+
+
+@pytest.mark.parametrize(
+    "bindings, violations",
+    [
+        ({"a b": ExplicitSchedule((1,))}, ["port 'a b' cannot be written as a sidecar line"]),
+        ({"a#": ExplicitSchedule((1,))}, ["port 'a#' cannot be written as a sidecar line"]),
+        ({"": ExplicitSchedule((1,))}, ["port '' cannot be written as a sidecar line"]),
+        ({"x=y": ExplicitSchedule((1,))}, ["port 'x=y' cannot be written as a sidecar line"]),
+        ({1: ExplicitSchedule((1,))}, ["port 1 cannot be written as a sidecar line"]),
+        ({"p": ExplicitSchedule((3, 1))}, ["port 'p': schedule times must be strictly increasing"]),
+        ({"p": [1, 2]}, ["port 'p': not a spike schedule"]),
+        (
+            {"ok": ExplicitSchedule((1,)), 1: ExplicitSchedule((3, 1)), "a#": [1]},
+            [
+                "port 1 cannot be written as a sidecar line",
+                "port 1: schedule times must be strictly increasing",
+                "port 'a#' cannot be written as a sidecar line",
+                "port 'a#': not a spike schedule",
+            ],
+        ),
+    ],
+    ids=["space", "hash", "empty", "equals", "int", "decreasing", "list", "each-named"],
+)
+def test_sidecar_writer_refuses_what_its_reader_would_not_read_back(bindings, violations):
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        serialize_port_bindings(bindings)
+    assert excinfo.value.violations == violations
+
+
 def test_port_bindings_errors():
     with pytest.raises(NetworkFormatError):
         parse_port_bindings("val=3;2\n")
@@ -407,11 +455,14 @@ def test_port_binding_numerals_outside_the_grammar(text, error):
     ],
 )
 def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reasons):
-    # The serializers write what they are given, so each form carries the same bad schedule.
+    # `serialize_network` writes what it is given and the sidecar line is
+    # written by hand, so each form carries the same bad schedule.
     with pytest.raises(NetworkFormatError) as snn:
         parse_network(serialize_network(Network(programmed={"p": schedule}, accept="p")))
     with pytest.raises(NetworkFormatError) as sidecar:
-        parse_port_bindings(serialize_port_bindings({"p": schedule}))
+        parse_port_bindings(_sidecar_line("p", schedule))
+    with pytest.raises(InvalidNetworkError) as written:
+        serialize_port_bindings({"p": schedule})
     plan = build_plan(Network(programmed={"p": ExplicitSchedule(())}, accept="p"))
     with pytest.raises(InvalidNetworkError) as rebound:
         plan.with_schedules({"p": schedule})
@@ -419,6 +470,7 @@ def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reas
         plan.network.bind_schedules({"p": schedule})
     assert snn.value.errors == [f"line 2: {reason}" for reason in reasons]
     assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
+    assert written.value.violations == [f"port 'p': {reason}" for reason in reasons]
     assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]
     assert bound.value.violations == rebound.value.violations
 
@@ -441,7 +493,10 @@ def test_bool_schedule_is_invalid_everywhere(schedule, reasons):
     with pytest.raises(NetworkFormatError):
         parse_network(serialize_network(network))
     with pytest.raises(NetworkFormatError):
-        parse_port_bindings(serialize_port_bindings({"p": schedule}))
+        parse_port_bindings(_sidecar_line("p", schedule))
+    with pytest.raises(InvalidNetworkError) as written:
+        serialize_port_bindings({"p": schedule})
+    assert written.value.violations == [f"port 'p': {reason}" for reason in reasons]
     plan = build_plan(Network(programmed={"p": ExplicitSchedule(())}, accept="p"))
     with pytest.raises(InvalidNetworkError) as rebound:
         plan.with_schedules({"p": schedule})

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import engine, gadgets, harness, hostprog, snnfmt
-from .model import check_network, parse_int
+from .model import parse_int
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -31,12 +31,12 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write_network(network, path: str) -> None:
-    text = snnfmt.serialize_network(check_network(network))
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text): the files together, then each `-` text to stdout."""
+    _write_files_together([(path, text) for path, text in outputs if path != "-"])
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
 
 
 def _write_files_together(files: list[tuple[str, str]]) -> None:
@@ -109,7 +109,7 @@ def _cmd_gadget(args) -> int:
             network = gadgets.attach_timer(base, args.bound)
         else:
             network = gadgets.attach_meter(base, args.bound)
-    _write_network(network, args.output)
+    _write_outputs([(args.output, snnfmt.serialize_network(network))])
     return EXIT_ACCEPT
 
 
@@ -131,10 +131,7 @@ def _cmd_compile(args) -> int:
     if args.inputs_out is not None:
         outputs.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
     outputs.append((args.output, snnfmt.serialize_network(compiled.network)))
-    _write_files_together([(path, text) for path, text in outputs if path != "-"])
-    for path, text in outputs:
-        if path == "-":
-            sys.stdout.write(text)
+    _write_outputs(outputs)
     return EXIT_ACCEPT
 
 

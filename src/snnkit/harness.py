@@ -147,7 +147,7 @@ class ResourceCaps:
         """The resources measured above their caps, in time/space/energy order.
 
         Callers pass executed steps, payload SPACE and payload ENERGY.
-        `network_halting_oracle` reads totals instead: it charges the host.
+        `network_halting_oracle` passes totals instead: it charges the host.
         """
         if time <= self.time and space <= self.space and energy <= self.energy:
             return ()
@@ -209,7 +209,8 @@ class CompiledStructure:
 
     `network` is the structure with its ports unscheduled, already validated:
     a compiler builds it with `NetworkBuilder.build()`, which checks it, so
-    its users serialize or plan it without checking it again. The harness,
+    its users plan it without checking it again (`serialize_network` checks
+    every network it writes). The harness,
     the command line and the host language, oracle calls included, bind
     ports only through `check_ports` and `bind`.
     """
@@ -421,7 +422,8 @@ def network_halting_oracle(network: Network, caps: ResourceCaps) -> OracleAnswer
         network,
         RunLimits(max_steps=caps.time, max_total_spikes=caps.energy),
     ).report
-    if report.verdict in (TIMEOUT, AMBIGUOUS) or report.energy > caps.energy:
+    over = caps.exceeded(report.time, report.neurons, report.energy)
+    if over or report.verdict in (TIMEOUT, AMBIGUOUS):
         return OracleAnswer(PROMISE_VIOLATED, report)
     return OracleAnswer(ACCEPTED if report.verdict == ACCEPT else REJECTED, report)
 

@@ -339,7 +339,8 @@ def validate_network(network: Network) -> list[str]:
             out.append(f"{role} names unknown neuron {name!r}")
     if network.accept is not None and network.accept == network.reject:
         out.append(f"accept and reject are both {network.accept!r}")
-    for name in sorted(network.gadget_tags):
+    # Strings first, so that tags of mixed types sort too.
+    for name in sorted(network.gadget_tags, key=lambda tag: (not isinstance(tag, str), str(tag))):
         if name not in seen:
             out.append(f"gadget tag names unknown neuron {name!r}")
     return out

@@ -21,6 +21,8 @@ reads each distinct well-formed neuron and synapse attribute tail once.
 
 The line rules, which apply `model`'s rules as each line is read, are the
 one check of `.snn` text; `engine.Simulation` still validates before stepping.
+The writer keeps no rule of its own: it refuses, through
+`model.check_network`, exactly the networks `validate_network` refuses.
 
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``, ``oracle --inputs`` and the host's oracle calls: one
@@ -46,6 +48,7 @@ from .model import (
     PeriodicSchedule,
     SpikeSchedule,
     SynapseSpec,
+    check_network,
     delay_violations,
     format_rational,
     is_valid_id,
@@ -57,6 +60,7 @@ from .model import (
 
 HEADER = "snn 1"
 _NEURON_DEFAULTS = (("threshold", DEFAULT_THRESHOLD), ("reset", DEFAULT_RESET), ("leak", DEFAULT_LEAK))
+_SYNAPSE_DEFAULTS = (("delay", DEFAULT_DELAY), ("weight", DEFAULT_WEIGHT))
 
 
 class NetworkFormatError(ValueError):
@@ -332,50 +336,15 @@ def _format_schedule(sched: SpikeSchedule) -> str:
     return "schedule=" + ";".join(str(t) for t in sched.times)
 
 
-def _unwritable_ids(network: Network) -> list[object]:
-    """Every id, of any role, that is not a str or is empty or holds whitespace or `#`, sorted."""
-    names = [spec.id for spec in network.neurons]
-    names += network.programmed
-    for syn in network.synapses:
-        names += (syn.pre, syn.post)
-    names += [name for name in (network.accept, network.reject) if name is not None]
-    names += network.gadget_tags
-    return sorted(
-        {name for name in names if not isinstance(name, str) or name.split() != [name] or "#" in name},
-        key=lambda name: (not isinstance(name, str), str(name)),  # strings first: mixed ids sort
-    )
-
-
-def serialize_network(network: Network) -> str:
-    """Canonical `.snn` text: header, neurons, inputs, synapses, designations.
-
-    Default-valued attributes are omitted; rationals print in lowest terms.
-    Ids are written as they are, so an id that is not a string, or is empty
-    or holds whitespace or `#`, which the text would read back as another
-    id or none, raises InvalidNetworkError naming it.
-    """
-    unwritable = _unwritable_ids(network)
-    if unwritable:
-        raise InvalidNetworkError(f"id {name!r} cannot be written as .snn text" for name in unwritable)
+def _serialize_unchecked(network: Network) -> str:
+    """The `.snn` text of `network`, written as it is, whether or not it is valid."""
     lines = [HEADER]
     for spec in network.neurons:
-        parts = [f"neuron {spec.id}"]
-        if spec.threshold != DEFAULT_THRESHOLD:
-            parts.append(f"threshold={format_rational(spec.threshold)}")
-        if spec.reset != DEFAULT_RESET:
-            parts.append(f"reset={format_rational(spec.reset)}")
-        if spec.leak != DEFAULT_LEAK:
-            parts.append(f"leak={format_rational(spec.leak)}")
-        lines.append(" ".join(parts))
+        lines.append(_with_attrs(f"neuron {spec.id}", spec, _NEURON_DEFAULTS))
     for name in sorted(network.programmed):
         lines.append(f"input {name} {_format_schedule(network.programmed[name])}")
     for syn in network.synapses:
-        parts = [f"synapse {syn.pre} -> {syn.post}"]
-        if syn.delay != DEFAULT_DELAY:
-            parts.append(f"delay={syn.delay}")
-        if syn.weight != DEFAULT_WEIGHT:
-            parts.append(f"weight={format_rational(syn.weight)}")
-        lines.append(" ".join(parts))
+        lines.append(_with_attrs(f"synapse {syn.pre} -> {syn.post}", syn, _SYNAPSE_DEFAULTS))
     if network.accept is not None:
         lines.append(f"accept {network.accept}")
     if network.reject is not None:
@@ -383,6 +352,27 @@ def serialize_network(network: Network) -> str:
     for name in sorted(network.gadget_tags):
         lines.append(f"gadget {name}")
     return "\n".join(lines) + "\n"
+
+
+def _with_attrs(head: str, spec, defaults) -> str:
+    """`head`, then `key=value` for each attribute of `spec` that differs from its default."""
+    parts = [head]
+    for key, default in defaults:
+        value = getattr(spec, key)
+        if value != default:
+            parts.append(f"{key}={format_rational(value)}")
+    return " ".join(parts)
+
+
+def serialize_network(network: Network) -> str:
+    """Canonical `.snn` text: header, neurons, inputs, synapses, designations.
+
+    Default-valued attributes are omitted; rationals print in lowest terms.
+    A network that `validate_network` refuses raises InvalidNetworkError
+    carrying exactly its violations, so the text of every network written
+    here parses back to that network.
+    """
+    return _serialize_unchecked(check_network(network))
 
 
 def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:

@@ -138,6 +138,16 @@ class TestGadget:
         net = parse_network(out)
         assert "meter" in net.gadget_tags
 
+    def test_output_file_holds_what_stdout_would(self, tmp_path, capsys):
+        base = tmp_path / "base.snn"
+        base.write_text("snn 1\nneuron acc\naccept acc\n")
+        argv = ["gadget", "timer", "--bound", "4", "--attach", str(base)]
+        _, printed, _ = run_cli(argv, capsys)
+        code, out, err = run_cli([*argv, "--output", str(tmp_path / "timed.snn")], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "timed.snn").read_text() == printed
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["base.snn", "timed.snn"]
+
     def test_attach_to_text_without_a_header_exit_2(self, tmp_path, capsys):
         base = tmp_path / "base.snn"
         base.write_text("# no network here\n")

@@ -79,13 +79,14 @@ def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _call_name(call: ast.Call) -> str | None:
+    """The name a call is made by, as a bare name or as an attribute."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def _called_names(tree: ast.AST) -> set[str]:
     """Names called in `tree`, as a bare name or as an attribute."""
-    return {
-        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    }
+    return {_call_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
 def test_gadgets_construct_no_synapse():
@@ -179,7 +180,10 @@ def test_parse_caches_live_on_the_parser():
 
 
 def _innermost_callers(tree: ast.AST, names: set[str]) -> set[str]:
-    """The functions whose own bodies, not those of functions nested in them, call one of `names`."""
+    """The functions whose own bodies, not those of functions nested in them, call one of `names`.
+
+    A call counts by its bare name or its attribute name.
+    """
     callers = set()
 
     def visit(node: ast.AST, function: str) -> None:
@@ -187,7 +191,7 @@ def _innermost_callers(tree: ast.AST, names: set[str]) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, getattr(child, "name", "<lambda>"))
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in names:
+            if isinstance(child, ast.Call) and _call_name(child) in names:
                 callers.add(function)
             visit(child, function)
 
@@ -200,3 +204,10 @@ def test_array_search_wires_its_network_in_one_function():
     wiring = {"add_neuron", "add_input", "add_synapse", "set_accept", "set_reject"}
     callers = _innermost_callers(_trees()["arraysearch"], wiring)
     assert len(callers) == 1 and "<module>" not in callers, callers
+
+
+def test_network_writer_checks_through_the_model_rule_only():
+    # `serialize_network` refuses what `validate_network` refuses, so neither
+    # the rest of `snnfmt` nor the command line checks a network it writes.
+    assert _innermost_callers(_trees()["snnfmt"], {"check_network"}) == {"serialize_network"}
+    assert "check_network" not in _called_names(_trees()["cli"])

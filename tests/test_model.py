@@ -231,6 +231,21 @@ def test_validation_detects_each_invariant(mutate, needle):
     assert any(needle in v for v in violations), violations
 
 
+def test_gadget_tags_of_mixed_types_are_listed_not_sorted_into_a_type_error():
+    # String tags come first, in their usual order, then the others.
+    net = Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={1, "a", "zz", "b"})
+    violations = [
+        "gadget tag names unknown neuron 'b'",
+        "gadget tag names unknown neuron 'zz'",
+        "gadget tag names unknown neuron 1",
+    ]
+    assert validate_network(net) == violations
+    assert validate_network(replace(net, gadget_tags={1, "a"})) == violations[2:]
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        serialize_network(net)
+    assert excinfo.value.violations == violations
+
+
 def test_check_network_raises_with_all_violations():
     bad = Network(
         neurons=(NeuronSpec("a", threshold=Fraction(-1)),),

@@ -24,6 +24,7 @@ from snnkit.model import (
 from snnkit.snnfmt import (
     NetworkFormatError,
     _Parser,
+    _serialize_unchecked,
     parse_network,
     parse_port_bindings,
     serialize_network,
@@ -83,12 +84,18 @@ def test_serialize_deterministic_and_lowest_terms():
 
 
 @pytest.mark.parametrize(
-    "net, names",
+    "net, violations",
     [
         # `#` starts a comment: the text would read back as neuron `acc`.
-        (Network(neurons=(NeuronSpec("acc#x"),), accept="acc#x"), ["acc#x"]),
+        (
+            Network(neurons=(NeuronSpec("acc#x"),), accept="acc#x"),
+            ["invalid neuron id 'acc#x'", "accept names unknown neuron 'acc#x'"],
+        ),
         # A newline splits one line into two: neurons `b` and `c`.
-        (Network(neurons=(NeuronSpec("a"), NeuronSpec("b\nneuron c")), accept="a"), ["b\nneuron c"]),
+        (
+            Network(neurons=(NeuronSpec("a"), NeuronSpec("b\nneuron c")), accept="a"),
+            ["invalid neuron id 'b\\nneuron c'"],
+        ),
         (
             Network(
                 neurons=(NeuronSpec("a"),),
@@ -96,20 +103,29 @@ def test_serialize_deterministic_and_lowest_terms():
                 synapses=(SynapseSpec("", "a"),),
                 accept="a",
             ),
-            [""],
+            ["invalid neuron id ''", "synapse ->a: unknown pre neuron ''"],
         ),
-        (Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={"a b"}), ["a b"]),
+        (
+            Network(neurons=(NeuronSpec("a"),), accept="a", gadget_tags={"a b"}),
+            ["gadget tag names unknown neuron 'a b'"],
+        ),
         # The text would read back the string id `5`.
-        (Network(neurons=(NeuronSpec(5),), accept=5), [5]),
-        # Strings sort first; a bare sort of mixed ids raises TypeError.
-        (Network(neurons=(NeuronSpec(5),), programmed={"a#": ExplicitSchedule((0,))}, accept=5), ["a#", 5]),
+        (
+            Network(neurons=(NeuronSpec(5),), accept=5),
+            ["invalid neuron id 5", "accept names unknown neuron 5"],
+        ),
+        (
+            Network(neurons=(NeuronSpec(5),), programmed={"a#": ExplicitSchedule((0,))}, accept=5),
+            ["invalid neuron id 5", "invalid neuron id 'a#'", "accept names unknown neuron 5"],
+        ),
     ],
     ids=["hash", "newline", "empty", "space-in-gadget-tag", "int", "int-and-hash"],
 )
-def test_serialize_refuses_ids_the_text_cannot_carry(net, names):
+def test_serialize_refuses_ids_the_text_cannot_carry(net, violations):
+    # The writer refuses through `validate_network`, whose id rule the parser applies.
     with pytest.raises(InvalidNetworkError) as excinfo:
         serialize_network(net)
-    assert excinfo.value.violations == [f"id {name!r} cannot be written as .snn text" for name in names]
+    assert excinfo.value.violations == violations == validate_network(net)
 
 
 def test_round_trip_identity():
@@ -316,7 +332,7 @@ def _invalid_id(net, draw):
 
 
 # One way to break each rule `validate_network` checks. Bool delays are left
-# out: `serialize_network` writes a delay of True as the default delay.
+# out: `_serialize_unchecked` writes a delay of True as the default delay.
 _VIOLATIONS = {
     "negative threshold": lambda net, draw: _replace_neuron(
         net, draw, threshold=draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(-5)]))
@@ -338,23 +354,93 @@ _VIOLATIONS = {
 
 
 @st.composite
-def networks_with_at_most_one_violation(draw):
+def networks_with_at_most_one_violation(draw, violations=_VIOLATIONS):
     net = random_network(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from([None, *_VIOLATIONS]))
-    return net if kind is None else _VIOLATIONS[kind](net, draw)
+    kind = draw(st.sampled_from([None, *violations]))
+    return net if kind is None else violations[kind](net, draw)
 
 
 @given(networks_with_at_most_one_violation())
 @settings(max_examples=1500, deadline=None)
 def test_parser_refuses_exactly_what_validate_network_refuses(net):
     # The parser's line rules are the only check of `.snn` text, so they must
-    # agree with the reference validation on every network's text.
-    text = serialize_network(net)
+    # agree with the reference validation on every network's text, which the
+    # unchecked writer produces for invalid networks too.
+    text = _serialize_unchecked(net)
     if validate_network(net):
         with pytest.raises(NetworkFormatError):
             parse_network(text)
     else:
         assert parse_network(text) == net
+
+
+def _plain_list_schedule(net, draw):
+    name = draw(st.sampled_from(sorted(net.programmed)))
+    return replace(net, programmed={**net.programmed, name: [draw(st.integers(0, 5))]})
+
+
+# What the writer may be handed besides: values the text cannot carry at all.
+_WRITER_VIOLATIONS = {
+    **_VIOLATIONS,
+    "bool delay": lambda net, draw: _replace_synapse(net, draw, delay=draw(st.booleans())),
+    "plain-list schedule": _plain_list_schedule,
+}
+
+
+@given(networks_with_at_most_one_violation(_WRITER_VIOLATIONS))
+@settings(max_examples=500, deadline=None)
+def test_writer_refuses_exactly_what_validate_network_refuses(net):
+    violations = validate_network(net)
+    if violations:
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            serialize_network(net)
+        assert excinfo.value.violations == violations
+    else:
+        assert parse_network(serialize_network(net)) == net
+
+
+_A = NeuronSpec("a")
+
+
+@pytest.mark.parametrize(
+    "net, violations",
+    [
+        (
+            Network(programmed={"p": ExplicitSchedule((3, 1))}, accept="p"),
+            ["input p: schedule times must be strictly increasing"],
+        ),
+        (
+            Network(neurons=(NeuronSpec("a-b"),), accept="a-b"),
+            ["invalid neuron id 'a-b'", "accept names unknown neuron 'a-b'"],
+        ),
+        (Network(neurons=(NeuronSpec("a", threshold=-1),), accept="a"), ["neuron a: threshold must be >= 0"]),
+        (Network(neurons=(NeuronSpec("a", leak=2),), accept="a"), ["neuron a: leak must be in [0, 1]"]),
+        (
+            Network(neurons=(_A,), synapses=(SynapseSpec("a", "a", 0),), accept="a"),
+            ["synapse a->a: delay must be >= 1"],
+        ),
+        (
+            Network(neurons=(_A,), synapses=(SynapseSpec("a", "b"),), accept="a"),
+            ["synapse a->b: unknown post neuron 'b'"],
+        ),
+        (Network(neurons=(_A,), accept="b"), ["accept names unknown neuron 'b'"]),
+        (Network(neurons=(_A,), accept="a", reject="a"), ["accept and reject are both 'a'"]),
+        # Written unchecked, a delay of True reads back as the default delay 1.
+        (
+            Network(neurons=(_A,), synapses=(SynapseSpec("a", "a", True),), accept="a"),
+            ["synapse a->a: delay must be >= 1"],
+        ),
+        (Network(programmed={"p": [1, 2]}, accept="p"), ["input p: not a spike schedule"]),
+    ],
+    ids=[
+        "decreasing-schedule", "id-a-b", "threshold-minus-1", "leak-2", "delay-0",
+        "unknown-endpoint", "unknown-accept", "accept-is-reject", "bool-delay", "plain-list-schedule",
+    ],
+)
+def test_writer_refuses_what_its_parser_refuses(net, violations):
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        serialize_network(net)
+    assert excinfo.value.violations == violations == validate_network(net)
 
 
 def test_port_bindings_round_trip():
@@ -455,10 +541,13 @@ def test_port_binding_numerals_outside_the_grammar(text, error):
     ],
 )
 def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reasons):
-    # `serialize_network` writes what it is given and the sidecar line is
+    # `_serialize_unchecked` writes what it is given and the sidecar line is
     # written by hand, so each form carries the same bad schedule.
+    network = Network(programmed={"p": schedule}, accept="p")
     with pytest.raises(NetworkFormatError) as snn:
-        parse_network(serialize_network(Network(programmed={"p": schedule}, accept="p")))
+        parse_network(_serialize_unchecked(network))
+    with pytest.raises(InvalidNetworkError) as refused:
+        serialize_network(network)
     with pytest.raises(NetworkFormatError) as sidecar:
         parse_port_bindings(_sidecar_line("p", schedule))
     with pytest.raises(InvalidNetworkError) as written:
@@ -472,7 +561,7 @@ def test_bad_schedule_reads_the_same_in_snn_sidecar_and_rebinding(schedule, reas
     assert sidecar.value.errors == [f"line 1: {reason}" for reason in reasons]
     assert written.value.violations == [f"port 'p': {reason}" for reason in reasons]
     assert rebound.value.violations == [f"input p: {reason}" for reason in reasons]
-    assert bound.value.violations == rebound.value.violations
+    assert bound.value.violations == refused.value.violations == rebound.value.violations
 
 
 @pytest.mark.parametrize(
@@ -491,7 +580,10 @@ def test_bool_schedule_is_invalid_everywhere(schedule, reasons):
     network = Network(programmed={"p": schedule}, accept="p")
     assert validate_network(network) == [f"input p: {reason}" for reason in reasons]
     with pytest.raises(NetworkFormatError):
-        parse_network(serialize_network(network))
+        parse_network(_serialize_unchecked(network))
+    with pytest.raises(InvalidNetworkError) as refused:
+        serialize_network(network)
+    assert refused.value.violations == validate_network(network)
     with pytest.raises(NetworkFormatError):
         parse_port_bindings(_sidecar_line("p", schedule))
     with pytest.raises(InvalidNetworkError) as written:

@@ -13,7 +13,6 @@ from .arraysearch import (
     compile_search_full_input,
     compile_search_value_input,
     contains_target,
-    encode_input,
 )
 from .engine import (
     ACCEPT,

@@ -28,7 +28,9 @@ The module also registers the three compilers with the harness as
 `array-search-a|b|c`, each with its brute-force reference, its instance
 enumerator and sampler for equivalence sweeps, and the split of an instance
 into compile arguments and port schedules that lets a sweep share one
-compiled structure among instances.
+compiled structure among instances. That split is the one input encoder:
+b's and c's run-time values go on their ports as one-spike schedules, each
+spike at the value.
 """
 
 from __future__ import annotations
@@ -187,30 +189,6 @@ def compile_search_full_input(
     return CompiledSearch(network, tuple(map(element_port, range(size))) + (VALUE_PORT,))
 
 
-def encode_input(
-    variant: str,
-    *,
-    bound: int,
-    target: int | None = None,
-    elements: Iterable[int] | None = None,
-) -> dict[str, ExplicitSchedule]:
-    """Turn instance values into one-spike port schedules (spike at the value)."""
-    if variant == "b":
-        if target is None or elements is not None:
-            raise ValueError("variant b encodes exactly the target value")
-        _check_values(bound, target)
-        return {VALUE_PORT: one_shot(target)}
-    if variant == "c":
-        if target is None or elements is None:
-            raise ValueError("variant c encodes the elements and the target value")
-        elements = tuple(elements)
-        _check_values(bound, target, elements)
-        schedules = {element_port(j): one_shot(value) for j, value in enumerate(elements)}
-        schedules[VALUE_PORT] = one_shot(target)
-        return schedules
-    raise ValueError(f"no input encoding for variant {variant!r}")
-
-
 @lru_cache(maxsize=256)
 def _declared_caps(variant: str, size: int, bound: int) -> ResourceCaps:
     """TIME runs to the latest verdict, a reject at V+2 (a) or at i+V+1 <= 2V (b, c)."""
@@ -255,9 +233,10 @@ def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:
 
 
 def _array_search_entry(variant: str) -> CompilerEntry:
-    # The compilers and encode_input are looked up as module globals at call
-    # time, so wrappers installed on this module (profilers, tracers) see
-    # every call.
+    # The compilers are looked up as module globals at call time, so
+    # wrappers installed on this module (profilers, tracers) see every call.
+    # `split` writes its port schedules straight from the instance, which
+    # `ArrayInstance` or the sweep's `_instance_in_range` has already checked.
     if variant == "a":
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             return (instance,), {}
@@ -269,8 +248,7 @@ def _array_search_entry(variant: str) -> CompilerEntry:
             raise ValueError("variant a needs --target")
     elif variant == "b":
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            schedules = encode_input("b", bound=instance.bound, target=instance.target)
-            return (instance.elements, instance.bound), schedules
+            return (instance.elements, instance.bound), {VALUE_PORT: one_shot(instance.target)}
 
         def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
             return compile_search_value_input(elements, bound, builder)
@@ -279,9 +257,8 @@ def _array_search_entry(variant: str) -> CompilerEntry:
             return (array, bound)
     else:
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            schedules = encode_input(
-                "c", bound=instance.bound, target=instance.target, elements=instance.elements
-            )
+            schedules = {element_port(j): one_shot(v) for j, v in enumerate(instance.elements)}
+            schedules[VALUE_PORT] = one_shot(instance.target)
             return (instance.size, instance.bound), schedules
 
         def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:

@@ -29,7 +29,6 @@ import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -50,70 +49,42 @@ ACCEPTED = "accepted"
 REJECTED = "rejected"
 PROMISE_VIOLATED = "promise_violated"
 
-_BOUND_KINDS = ("constant", "linear", "polynomial", "table")
-
 
 @dataclass(frozen=True)
 class ResourceBound:
-    """A declared bound on one resource as a function of input size.
+    """A declared bound intercept + slope * n on one resource at input size n.
 
-    Coefficients are ascending-power polynomial coefficients for the
-    constant/linear/polynomial kinds, or the table entries for sizes
-    0, 1, 2, ... (extended by the last entry) for the table kind. Either
-    way they must be >= 0, so every kind is nonnegative and monotone
-    nondecreasing over natural sizes by construction. They are coerced as
-    the builder coerces neuron parameters, so a float raises TypeError.
+    `constant` declares slope 0. Both coefficients are exact and >= 0, so
+    every bound is nonnegative and nondecreasing over natural sizes. They are
+    coerced as the builder coerces neuron parameters: a float raises TypeError.
     """
 
     applies_to: str
-    kind: str
-    coefficients: tuple[Fraction, ...]
+    intercept: Fraction
+    slope: Fraction
 
     def __post_init__(self):
         if self.applies_to not in ("time", "space", "energy"):
             raise ValueError(f"unknown resource {self.applies_to!r}")
-        if self.kind not in _BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        coefficients = tuple(map(_rat, self.coefficients))
-        object.__setattr__(self, "coefficients", coefficients)
-        if not coefficients:
-            raise ValueError("bound needs at least one coefficient")
-        if any(c < 0 for c in coefficients):
+        intercept, slope = _rat(self.intercept), _rat(self.slope)
+        if intercept < 0 or slope < 0:
             raise ValueError("bound coefficients must be >= 0")
-        if self.kind == "table" and any(b < a for a, b in zip(coefficients, coefficients[1:])):
-            raise ValueError("table bound must be nondecreasing")
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "slope", slope)
 
     @classmethod
     def constant(cls, value, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "constant", (value,))
+        return cls(applies_to, value, 0)
 
     @classmethod
     def linear(cls, slope, intercept, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "linear", (intercept, slope))
+        return cls(applies_to, intercept, slope)
 
-    @classmethod
-    def polynomial(cls, coefficients, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "polynomial", coefficients)
-
-    @classmethod
-    def table(cls, values, applies_to: str) -> "ResourceBound":
-        return cls(applies_to, "table", values)
-
-    def evaluate(self, n: int) -> Fraction:
-        return Fraction(*self._ratio(n))
-
-    def _ratio(self, n: int) -> tuple[int, int]:
-        """The bound at size n as an integer pair (numerator, denominator > 0)."""
-        if n < 0:
-            raise ValueError("input size must be >= 0")
-        if self.kind == "table":
-            return self.coefficients[min(n, len(self.coefficients) - 1)].as_integer_ratio()
-        ratios = [c.as_integer_ratio() for c in self.coefficients]
-        den = lcm(*(q for _, q in ratios))
-        total = 0
-        for p, q in reversed(ratios):  # Horner's rule over integer numerators
-            total = total * n + p * (den // q)
-        return total, den
+    def _cap(self, n: int) -> int:
+        """floor(intercept + slope * n), on integer pairs."""
+        p, q = self.intercept.as_integer_ratio()
+        r, s = self.slope.as_integer_ratio()
+        return (p * s + r * q * n) // (q * s)
 
 
 @dataclass(frozen=True)
@@ -131,8 +102,10 @@ class ResourceBounds:
                 raise ValueError(f"{slot} bound is declared for {applies_to}")
 
     def caps(self, n: int) -> "ResourceCaps":
-        ratios = (bound._ratio(n) for bound in (self.time, self.space, self.energy))
-        return ResourceCaps(*(total // den for total, den in ratios))
+        """Each bound at input size n, floored to an integer cap."""
+        if n < 0:
+            raise ValueError("input size must be >= 0")
+        return ResourceCaps(self.time._cap(n), self.space._cap(n), self.energy._cap(n))
 
 
 @dataclass(frozen=True)

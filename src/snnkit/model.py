@@ -323,19 +323,25 @@ def validate_network(network: Network) -> list[str]:
         seen.add(name)
         for reason in schedule_violations(sched):
             out.append(f"input {name}: {reason}")
-    for syn in network.synapses:
-        bad_delay = delay_violations(syn.delay)
-        if not bad_delay and syn.pre in seen and syn.post in seen:
-            continue
+    # `seen` holds valid ids only, all strings. An unhashable name makes the
+    # quick pass raise; then every synapse takes the full check, types first.
+    try:
+        suspects = [
+            syn for syn in network.synapses
+            if delay_violations(syn.delay) or syn.pre not in seen or syn.post not in seen
+        ]
+    except TypeError:
+        suspects = network.synapses
+    for syn in suspects:
         label = f"synapse {syn.pre}->{syn.post}"
-        if syn.pre not in seen:
+        if not (isinstance(syn.pre, str) and syn.pre in seen):
             out.append(f"{label}: unknown pre neuron {syn.pre!r}")
-        if syn.post not in seen:
+        if not (isinstance(syn.post, str) and syn.post in seen):
             out.append(f"{label}: unknown post neuron {syn.post!r}")
-        for reason in bad_delay:
+        for reason in delay_violations(syn.delay):
             out.append(f"{label}: {reason}")
     for role, name in (("accept", network.accept), ("reject", network.reject)):
-        if name is not None and name not in seen:
+        if name is not None and not (isinstance(name, str) and name in seen):
             out.append(f"{role} names unknown neuron {name!r}")
     if network.accept is not None and network.accept == network.reject:
         out.append(f"accept and reject are both {network.accept!r}")

@@ -12,7 +12,6 @@ from snnkit.arraysearch import (
     compile_search_full_input,
     compile_search_value_input,
     contains_target,
-    encode_input,
     step_limit,
 )
 from snnkit.engine import RunLimits, run
@@ -98,7 +97,7 @@ class TestVariantA:
 class TestVariantB:
     def test_member_accepts(self):
         compiled = compile_search_value_input((3, 5, 7), 8)
-        network = compiled.bind(encode_input("b", bound=8, target=5))
+        network = compiled.bind({"val": one_shot(5)})
         report, _ = run(network, RunLimits(step_limit("b", 8)))
         assert report.verdict == "accept"
         assert report.energy_payload <= 3 + 3
@@ -113,7 +112,7 @@ class TestVariantB:
         compiled = compile_search_value_input((3, 5, 7), 8)
         verdicts = []
         for target in (3, 6):
-            network = compiled.bind(encode_input("b", bound=8, target=target))
+            network = compiled.bind({"val": one_shot(target)})
             verdicts.append(run(network, RunLimits(step_limit("b", 8))).report.verdict)
         assert verdicts == ["accept", "reject"]
 
@@ -122,7 +121,7 @@ class TestVariantB:
         bound = 6
         compiled = compile_search_value_input(elements, bound)
         for target in range(bound):
-            network = compiled.bind(encode_input("b", bound=bound, target=target))
+            network = compiled.bind({"val": one_shot(target)})
             report, _ = run(network, RunLimits(step_limit("b", bound)))
             expected = "accept" if target in elements else "reject"
             assert report.verdict == expected
@@ -147,28 +146,31 @@ class TestVariantC:
         assert compiled.input_ports == ("a0", "a1", "a2", "val")
 
 
-class TestEncodeInput:
+class TestSplit:
+    """The entries' `split` writes b's and c's port schedules, one spike at each value."""
+
+    @staticmethod
+    def _split(variant, instance):
+        return get_compiler(f"array-search-{variant}").split(instance)
+
     def test_variant_b_single_spike(self):
-        assert encode_input("b", bound=8, target=5) == {"val": one_shot(5)}
+        args, schedules = self._split("b", ArrayInstance((3, 5, 7), 5, 8))
+        assert args == ((3, 5, 7), 8)
+        assert schedules == {"val": one_shot(5)}
 
     def test_variant_c_all_zero(self):
-        schedules = encode_input("c", bound=4, target=0, elements=(0, 0))
+        args, schedules = self._split("c", ArrayInstance((0, 0), 0, 4))
+        assert args == (2, 4)
         assert schedules == {"a0": one_shot(0), "a1": one_shot(0), "val": one_shot(0)}
 
     def test_arity_mismatch_rejected_at_bind(self):
         compiled = compile_search_full_input(3, 8)
-        schedules = encode_input("c", bound=8, target=1, elements=(1, 2))
+        _, schedules = self._split("c", ArrayInstance((1, 2), 1, 8))
         with pytest.raises(ValueError, match="unbound"):
             compiled.bind(schedules)
-        extra = encode_input("c", bound=8, target=1, elements=(1, 2, 3, 4))
+        _, extra = self._split("c", ArrayInstance((1, 2, 3, 4), 1, 8))
         with pytest.raises(ValueError, match="unknown"):
             compiled.bind(extra)
-
-    def test_value_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_input("b", bound=8, target=8)
-        with pytest.raises(ValueError):
-            encode_input("c", bound=4, target=0, elements=(4,))
 
 
 BOUND = "bound must be >= 1"
@@ -185,15 +187,7 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: compile_search_value_input((1,), 0), BOUND),
         (lambda: compile_search_value_input((1, 4), 4), ELEMENT),
         (lambda: compile_search_full_input(2, 0), BOUND),
-        (lambda: encode_input("b", bound=4, target=-1), TARGET),
-        (lambda: encode_input("c", bound=4, target=4, elements=(1,)), TARGET),
-        (lambda: encode_input("c", bound=4, target=0, elements=(1, 4)), ELEMENT),
         (lambda: compile_search_full_input(-1, 4), "size must be >= 0"),
-        (lambda: encode_input("b", bound=4, target=1, elements=(1,)),
-         "variant b encodes exactly the target value"),
-        (lambda: encode_input("c", bound=4, target=1),
-         "variant c encodes the elements and the target value"),
-        (lambda: encode_input("a", bound=4, target=1), "no input encoding for variant 'a'"),
         # Only an exact int passes: no float, and no bool, though both compare as numbers.
         (lambda: ArrayInstance((1.0,), 1, 4), "array elements must be integers"),
         (lambda: ArrayInstance((True,), 0, 2), "array elements must be integers"),
@@ -204,10 +198,6 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: compile_search_full_input(2, 4.0), "bound must be an integer"),
         (lambda: compile_search_value_input((1,), 4.0), "bound must be an integer"),
         (lambda: compile_search_value_input((0, False), 4), "array elements must be integers"),
-        (lambda: encode_input("b", bound=4, target=1.0), "target must be an integer"),
-        (lambda: encode_input("b", bound=True, target=0), "bound must be an integer"),
-        (lambda: encode_input("c", bound=4, target=0, elements=(2.0,)),
-         "array elements must be integers"),
     ],
 )
 def test_each_broken_range_rule_names_itself(call, message):
@@ -377,7 +367,7 @@ class TestCallTimeLookup:
     """The registered entries reach the compilers through the module's globals.
 
     Wrappers installed on `snnkit.arraysearch` (profilers, tracers) must see
-    every compile and encode call made through the registry.
+    every compile call made through the registry.
     """
 
     COMPILERS = {
@@ -389,7 +379,7 @@ class TestCallTimeLookup:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for name in (*self.COMPILERS.values(), "encode_input"):
+        for name in self.COMPILERS.values():
             def wrapper(*args, _name=name, _original=getattr(arraysearch, name), **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -399,8 +389,7 @@ class TestCallTimeLookup:
 
     @staticmethod
     def _expected(variant):
-        compiler = TestCallTimeLookup.COMPILERS[variant]
-        return [compiler] if variant == "a" else ["encode_input", compiler]
+        return [TestCallTimeLookup.COMPILERS[variant]]
 
     @pytest.mark.parametrize("variant", ("a", "b", "c"))
     def test_build(self, calls, variant):

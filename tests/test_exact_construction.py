@@ -1,7 +1,7 @@
 """The construction layer's integer arithmetic matches the Fraction formulas.
 
 `validate_network`, the `.snn` neuron checks, `Network.incoming_weight_magnitudes`
-and `ResourceBound.evaluate` work on integer numerator/denominator pairs and
+and `ResourceBounds.caps` work on integer numerator/denominator pairs and
 build at most one `Fraction` at the end. The property tests compare each of
 them with the Fraction-operator formula it replaced. The tripwire tests make
 Fraction's arithmetic and ordering operators raise, so a Fraction operation
@@ -9,7 +9,6 @@ that creeps back into one of these paths fails here instead of only showing
 up as a slowdown.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -64,44 +63,15 @@ def test_incoming_weight_magnitude_matches_fraction_sum(edges):
         assert together[post] == want
 
 
-def _polynomial(coefficients, n):
-    total = Fraction(0)
-    power = Fraction(1)
-    for c in coefficients:
-        total += c * power
-        power *= n
-    return total
-
-
-BOUND_SHAPES = {
-    "constant": st.lists(nonneg_fractions, min_size=1, max_size=1),
-    "linear": st.lists(nonneg_fractions, min_size=2, max_size=2),
-    "polynomial": st.lists(nonneg_fractions, min_size=1, max_size=5),
-    "table": st.lists(nonneg_fractions, min_size=1, max_size=6).map(sorted),
-}
-
-
 @PROPERTY
-@given(
-    st.sampled_from(sorted(BOUND_SHAPES)).flatmap(
-        lambda kind: st.tuples(st.just(kind), BOUND_SHAPES[kind])
-    ),
-    st.integers(0, 40),
-)
-def test_bound_evaluate_matches_fraction_formula(shape, n):
-    kind, coefficients = shape
-    bound = ResourceBound("time", kind, tuple(coefficients))
-    if kind == "table":
-        want = coefficients[min(n, len(coefficients) - 1)]
+@given(st.booleans(), nonneg_fractions, nonneg_fractions, st.integers(0, 40))
+def test_bound_caps_match_fraction_formula(constant, intercept, slope, n):
+    if constant:
+        slope = Fraction(0)
+        bounds = [ResourceBound.constant(intercept, name) for name in ("time", "space", "energy")]
     else:
-        want = _polynomial(coefficients, n)
-    got = bound.evaluate(n)
-    assert type(got) is Fraction
-    assert got == want
-    bounds = ResourceBounds(
-        bound, replace(bound, applies_to="space"), replace(bound, applies_to="energy")
-    )
-    assert bounds.caps(n) == ResourceCaps(*[floor(got)] * 3)
+        bounds = [ResourceBound.linear(slope, intercept, name) for name in ("time", "space", "energy")]
+    assert ResourceBounds(*bounds).caps(n) == ResourceCaps(*[floor(intercept + slope * n)] * 3)
 
 
 def _neuron_messages(spec):
@@ -193,9 +163,9 @@ def test_weight_magnitude_without_fraction_operators(monkeypatch):
 
 def test_bound_caps_without_fraction_operators(monkeypatch):
     bounds = ResourceBounds(
-        time=ResourceBound.polynomial((Fraction(1, 2), 3, Fraction(2, 3)), "time"),
+        time=ResourceBound.constant(Fraction(7, 2), "time"),
         space=ResourceBound.linear(Fraction(5, 4), 3, "space"),
-        energy=ResourceBound.table((1, Fraction(5, 2), 7), "energy"),
+        energy=ResourceBound.linear(Fraction(2, 3), Fraction(1, 2), "energy"),
     )
     want = [bounds.caps(n) for n in range(6)]
     _arm_tripwire(monkeypatch)

@@ -11,7 +11,6 @@ from snnkit.arraysearch import (
     ArrayInstance,
     compile_search_value_input,
     contains_target,
-    encode_input,
 )
 from snnkit.engine import RunLimits, run
 from snnkit.gadgets import make_constant_firer, merge
@@ -36,43 +35,38 @@ from snnkit.harness import (
     registered_compilers,
     verify_equivalence,
 )
-from snnkit.model import NetworkBuilder, PeriodicSchedule
+from snnkit.model import NetworkBuilder, PeriodicSchedule, one_shot
 from snnkit.randnet import random_network
+
+
+def _uniform(make):
+    """ResourceBounds holding `make(resource)` in each of its three slots."""
+    return ResourceBounds(*(make(name) for name in ("time", "space", "energy")))
 
 
 class TestResourceBound:
     def test_constant(self):
-        b = ResourceBound.constant(5, "time")
-        assert b.evaluate(0) == 5
-        assert b.evaluate(100) == 5
+        bounds = _uniform(lambda name: ResourceBound.constant(5, name))
+        assert bounds.time == ResourceBound("time", 5, 0)
+        assert bounds.caps(0) == bounds.caps(100) == ResourceCaps(5, 5, 5)
 
     def test_linear(self):
-        b = ResourceBound.linear(2, 3, "energy")
-        assert b.evaluate(0) == 3
-        assert b.evaluate(4) == 11
-
-    def test_polynomial(self):
-        b = ResourceBound.polynomial([1, 0, 2], "time")  # 1 + 2n^2
-        assert b.evaluate(3) == 19
-
-    def test_table_extends_with_last(self):
-        b = ResourceBound.table([1, 3, 9], "space")
-        assert b.evaluate(0) == 1
-        assert b.evaluate(2) == 9
-        assert b.evaluate(50) == 9
+        bounds = _uniform(lambda name: ResourceBound.linear(2, 3, name))
+        assert bounds.energy == ResourceBound("energy", 3, 2)
+        assert bounds.caps(0) == ResourceCaps(3, 3, 3)
+        assert bounds.caps(4) == ResourceCaps(11, 11, 11)
 
     def test_fractional_coefficients(self):
         b = ResourceBound.linear(Fraction(1, 2), 1, "time")
-        assert b.evaluate(3) == Fraction(5, 2)
+        assert (b.intercept, b.slope) == (1, Fraction(1, 2))
+        assert type(b.intercept) is type(b.slope) is Fraction
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: ResourceBound.linear(0.1, 1, "time"),
             lambda: ResourceBound.constant(2.0, "space"),
-            lambda: ResourceBound.polynomial([1, 0.5], "time"),
-            lambda: ResourceBound.table([1, 2.5], "energy"),
-            lambda: ResourceBound("time", "linear", (1, 0.25)),
+            lambda: ResourceBound("time", 1, 0.25),
         ],
     )
     def test_rejects_floats_like_the_builder(self, make):
@@ -82,14 +76,6 @@ class TestResourceBound:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ResourceBound.linear(-1, 0, "time")
-
-    def test_rejects_negative_table_entries(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            ResourceBound.table((-3, -1), "time")
-
-    def test_rejects_decreasing_table(self):
-        with pytest.raises(ValueError):
-            ResourceBound.table([3, 1], "time")
 
     def test_rejects_unknown_resource(self):
         with pytest.raises(ValueError):
@@ -102,18 +88,10 @@ class TestResourceBound:
         with pytest.raises(ValueError, match=f"{slot} bound is declared for {other}"):
             ResourceBounds(**slots)
 
-    @pytest.mark.parametrize(
-        "make, message",
-        [
-            (lambda: ResourceBound("time", "cubic", (1,)), "unknown bound kind 'cubic'"),
-            (lambda: ResourceBound("time", "linear", ()), "bound needs at least one coefficient"),
-            (lambda: ResourceBound.constant(1, "time").evaluate(-1), "input size must be >= 0"),
-        ],
-    )
-    def test_malformed_bound_or_size_names_itself(self, make, message):
+    def test_negative_size_names_itself(self):
         with pytest.raises(ValueError) as error:
-            make()
-        assert str(error.value) == message
+            _uniform(lambda name: ResourceBound.constant(1, name)).caps(-1)
+        assert str(error.value) == "input size must be >= 0"
 
     @pytest.mark.parametrize(
         "measured, over",
@@ -259,7 +237,7 @@ class TestOracle:
     def test_variant_b_with_inputs(self):
         compiled = compile_search_value_input((3, 5, 7), 8)
         answer = network_halting_oracle(
-            compiled.bind(encode_input("b", bound=8, target=5)),
+            compiled.bind({"val": one_shot(5)}),
             _caps(20, 6, 6),
         )
         assert answer.outcome == ACCEPTED
@@ -268,7 +246,7 @@ class TestOracle:
     def test_rejected(self):
         compiled = compile_search_value_input((3,), 8)
         answer = network_halting_oracle(
-            compiled.bind(encode_input("b", bound=8, target=4)),
+            compiled.bind({"val": one_shot(4)}),
             _caps(20, 6, 6),
         )
         assert answer.outcome == REJECTED

@@ -223,6 +223,12 @@ def test_network_canonical_order():
         (lambda n: replace(n, accept="zzz"), "accept names unknown neuron 'zzz'"),
         (lambda n: replace(n, reject="a"), "accept and reject are both 'a'"),
         (lambda n: replace(n, gadget_tags=frozenset({"ghost"})), "gadget tag names unknown"),
+        # Unhashable ids name no neuron: listed, not raised as TypeError.
+        (lambda n: replace(n, accept=["a"]), "accept names unknown neuron ['a']"),
+        (lambda n: replace(n, reject={"b": 1}), "reject names unknown neuron {'b': 1}"),
+        (lambda n: replace(n, synapses=n.synapses + (SynapseSpec("b", ["a"]),)),
+         "unknown post neuron ['a']"),
+        (lambda n: replace(n, synapses=(SynapseSpec(["p"], "a", 0),)), "unknown pre neuron ['p']"),
     ],
 )
 def test_validation_detects_each_invariant(mutate, needle):
@@ -244,6 +250,28 @@ def test_gadget_tags_of_mixed_types_are_listed_not_sorted_into_a_type_error():
     with pytest.raises(InvalidNetworkError) as excinfo:
         serialize_network(net)
     assert excinfo.value.violations == violations
+
+
+def test_unhashable_ids_are_listed_by_every_checking_path():
+    # Every synapse is still checked, in order, around the unhashable endpoint.
+    net = Network(
+        neurons=(NeuronSpec("a"), NeuronSpec("b")),
+        synapses=(SynapseSpec("a", "x"), SynapseSpec("b", ["a"])),
+        accept=["a"],
+    )
+    violations = [
+        "synapse a->x: unknown post neuron 'x'",
+        "synapse b->['a']: unknown post neuron ['a']",
+        "accept names unknown neuron ['a']",
+    ]
+    assert validate_network(net) == violations
+    builder = NetworkBuilder()
+    builder.add_network(net)
+    builder.set_accept(["a"])
+    for checked in (lambda: serialize_network(net), builder.build):
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            checked()
+        assert excinfo.value.violations == violations
 
 
 def test_check_network_raises_with_all_violations():

@@ -146,6 +146,11 @@ class TestVariantC:
         assert compiled.input_ports == ("a0", "a1", "a2", "val")
 
 
+BOUND = "bound must be >= 1"
+TARGET = "target must satisfy 0 <= target < bound"
+ELEMENT = "array elements must satisfy 0 <= element < bound"
+
+
 class TestSplit:
     """The entries' `split` writes b's and c's port schedules, one spike at each value."""
 
@@ -172,10 +177,15 @@ class TestSplit:
         with pytest.raises(ValueError, match="unknown"):
             compiled.bind(extra)
 
-
-BOUND = "bound must be >= 1"
-TARGET = "target must satisfy 0 <= target < bound"
-ELEMENT = "array elements must satisfy 0 <= element < bound"
+    @pytest.mark.parametrize(
+        "variant, array, target, bound, message",
+        [("b", (3,), 8, 8, TARGET), ("c", (1,), -1, 4, TARGET), ("c", (0, 4), 0, 4, ELEMENT)],
+    )
+    def test_value_out_of_range_rejected_before_split(self, variant, array, target, bound, message):
+        # `split` trusts its instance; the flags path checks it through ArrayInstance first.
+        with pytest.raises(ValueError) as error:
+            get_compiler(f"array-search-{variant}").from_flags(array, None, target, bound)
+        assert str(error.value) == message
 
 
 @pytest.mark.parametrize(
@@ -184,8 +194,11 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: ArrayInstance((1,), 0, 0), BOUND),
         (lambda: ArrayInstance((1,), 4, 4), TARGET),
         (lambda: ArrayInstance((1, -1), 0, 4), ELEMENT),
+        (lambda: ArrayInstance((1,), -1, 4), TARGET),
+        (lambda: ArrayInstance((1, 4), 0, 4), ELEMENT),
         (lambda: compile_search_value_input((1,), 0), BOUND),
         (lambda: compile_search_value_input((1, 4), 4), ELEMENT),
+        (lambda: compile_search_value_input((1, -1), 4), ELEMENT),
         (lambda: compile_search_full_input(2, 0), BOUND),
         (lambda: compile_search_full_input(-1, 4), "size must be >= 0"),
         # Only an exact int passes: no float, and no bool, though both compare as numbers.
@@ -193,10 +206,13 @@ ELEMENT = "array elements must satisfy 0 <= element < bound"
         (lambda: ArrayInstance((True,), 0, 2), "array elements must be integers"),
         (lambda: ArrayInstance((), 0, True), "bound must be an integer"),
         (lambda: ArrayInstance((1,), 1.0, 4), "target must be an integer"),
+        (lambda: ArrayInstance((1,), True, 4), "target must be an integer"),
+        (lambda: ArrayInstance((), 0, 4.0), "bound must be an integer"),
         (lambda: compile_search_full_input(True, 4), "size must be an integer"),
         (lambda: compile_search_full_input(2.0, 4), "size must be an integer"),
         (lambda: compile_search_full_input(2, 4.0), "bound must be an integer"),
         (lambda: compile_search_value_input((1,), 4.0), "bound must be an integer"),
+        (lambda: compile_search_value_input((1,), True), "bound must be an integer"),
         (lambda: compile_search_value_input((0, False), 4), "array elements must be integers"),
     ],
 )

@@ -67,6 +67,8 @@ class TestResourceBound:
             lambda: ResourceBound.linear(0.1, 1, "time"),
             lambda: ResourceBound.constant(2.0, "space"),
             lambda: ResourceBound("time", 1, 0.25),
+            lambda: ResourceBound("space", 0.5, 0),
+            lambda: ResourceBound.linear(1, 0.5, "energy"),
         ],
     )
     def test_rejects_floats_like_the_builder(self, make):
@@ -76,6 +78,24 @@ class TestResourceBound:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ResourceBound.linear(-1, 0, "time")
+
+    def test_rejects_negative_intercept(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ResourceBound.constant(-3, "time")
+
+    def test_reads_rational_strings_like_the_builder(self):
+        b = ResourceBound.linear("1/2", "3", "space")
+        assert (b.intercept, b.slope) == (3, Fraction(1, 2))
+
+    def test_caps_floor_across_denominators(self):
+        # 2/3 + n/3: whole at n = 1 and 4, so the floor must not fall one short there.
+        bounds = _uniform(lambda name: ResourceBound.linear(Fraction(1, 3), Fraction(2, 3), name))
+        assert [bounds.caps(n).time for n in range(5)] == [0, 1, 1, 1, 2]
+
+    def test_caps_stay_exact_at_large_sizes(self):
+        n = 10**18 + 3
+        bounds = _uniform(lambda name: ResourceBound.linear(Fraction(1, 7), Fraction(6, 7), name))
+        assert bounds.caps(n) == ResourceCaps(*[(n + 6) // 7] * 3)
 
     def test_rejects_unknown_resource(self):
         with pytest.raises(ValueError):

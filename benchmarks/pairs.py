@@ -22,6 +22,8 @@ The output file (default `benchmarks/BENCH_<workload>.json`) holds the
 first run's environment line, both sides, every run's metrics, each
 metric's median and quartiles per side, the ratios HEAD/BASE per pair and
 how many pairs HEAD won, and each metric's bound from BENCHMARK.json.
+When any run reads `correct: false` or has failed operations, the script
+still writes the file, then names each such run on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -190,7 +192,14 @@ def main(argv=None) -> int:
             f"{name}: {row['base']['median']:.6g} -> {row['head']['median']:.6g}"
             f" wins {row['wins']}/{args.pairs}"
         )
-    return 0
+    wrong = [run for run in record["runs"] if not run["correct"] or run["failed"]]
+    for run in wrong:
+        print(
+            f"pair {run['pair']} {run['side']}: correct={run['correct']}"
+            f" failed {run['failed']}/{run['attempted']}",
+            file=sys.stderr,
+        )
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

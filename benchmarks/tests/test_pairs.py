@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 import pairs  # noqa: E402
@@ -75,3 +77,25 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert summary["instances_per_s"]["base"] == {"q1": 100.0, "median": 100.0, "q3": 110.0}
     assert summary["instances_per_s"]["head"] == {"q1": 100.0, "median": 110.0, "q3": 120.0}
     assert summary["instances_per_s"]["gap_exceeds_base_iqr"] is False
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 0), (True, 2)])
+def test_a_run_that_fails_its_output_check_is_named_and_exits_1(
+    correct, failed, tmp_path, monkeypatch, capsys
+):
+    def run(pair, side, correct=True, failed=0):
+        return {"pair": pair, "side": side, "correct": correct, "attempted": 10,
+                "failed": failed, "metrics": {"setup_s": 0.5}}
+
+    record = {
+        "runs": [run(0, "base"), run(0, "head"), run(1, "head", correct, failed), run(1, "base")],
+        "summary": pairs.summarize([run(0, "base"), run(0, "head")], {"setup_s": SPECS["setup_s"]}),
+    }
+    monkeypatch.setattr(pairs, "measure", lambda *args: record)
+    output = tmp_path / "out.json"
+    argv = ["a", "b", "--workload", "many-small", "--seed", "0", "--pairs", "2", "--seconds", "1"]
+    assert pairs.main([*argv, "--output", str(output)]) == 1
+    assert json.loads(output.read_text()) == record
+    out, err = capsys.readouterr()
+    assert out.startswith("setup_s: 0.5 -> 0.5")
+    assert err == f"pair 1 head: correct={correct} failed {failed}/10\n"

@@ -9,12 +9,16 @@ trade generality against spikes:
 * variant c: only the array length fixed; A and i both supplied on ports.
 
 The variants compile one network and differ only in which spikes they bind
-at compile time and in reject's deadline. Element spikes reach the
-coincidence detector with weight 1/n and the value spike with weight 1
-through delay-1 synapses, and its threshold 1 + 1/n (memoryless, leak 0) is
-crossed exactly when the value spike lands together with at least one
-element spike. The 1/n element weights keep any number of duplicate
-elements alone below threshold. Acceptance therefore happens at step i + 1.
+at compile time and in reject's deadline. Each compiler takes only its
+compile arguments and returns a `CompiledSearch`, the network and its open
+input ports: none in a, the value port in b, every port in c.
+
+Element spikes reach the coincidence detector with weight 1/n and the value
+spike with weight 1 through delay-1 synapses, and its threshold 1 + 1/n
+(memoryless, leak 0) is crossed exactly when the value spike lands together
+with at least one element spike. The 1/n element weights keep any number of
+duplicate elements alone below threshold. Acceptance therefore happens at
+step i + 1.
 
 Excitation reaches reject `deadline` steps after the value spike and the
 detector's inhibition one step sooner, so the two cancel exactly on a match.
@@ -127,16 +131,13 @@ def _detector_parameters(m: int) -> tuple[Fraction, Fraction]:
 
 
 def _build_search(
-    builder: NetworkBuilder | None,
-    elements: list[ExplicitSchedule],
-    value: ExplicitSchedule,
-    deadline: int,
+    elements: list[ExplicitSchedule], value: ExplicitSchedule, deadline: int
 ) -> Network:
     """The one search network: port a<j> spikes on `elements[j]`, the value port on `value`.
 
     A variant leaves a port open by passing an `ExplicitSchedule()` placeholder.
     """
-    builder = builder if builder is not None else NetworkBuilder()
+    builder = NetworkBuilder()
     # Detector fires only on value+element coincidence; duplicates alone
     # sum to at most n * (1/n) = 1 < threshold 1 + 1/n.
     weight, threshold = _detector_parameters(max(len(elements), 1))
@@ -156,36 +157,30 @@ def _build_search(
     return builder.build()
 
 
-def compile_search_embedded(
-    instance: ArrayInstance, builder: NetworkBuilder | None = None
-) -> Network:
-    """Variant a: the whole instance is encoded in the network."""
+def compile_search_embedded(instance: ArrayInstance) -> CompiledSearch:
+    """Variant a: the whole instance is encoded in the network, which has no open port."""
     elements = [one_shot(value) for value in instance.elements]
     deadline = instance.bound + 2 - instance.target
-    return _build_search(builder, elements, one_shot(instance.target), deadline)
+    return CompiledSearch(_build_search(elements, one_shot(instance.target), deadline), ())
 
 
-def compile_search_value_input(
-    elements: Iterable[int], bound: int, builder: NetworkBuilder | None = None
-) -> CompiledSearch:
+def compile_search_value_input(elements: Iterable[int], bound: int) -> CompiledSearch:
     """Variant b: elements embedded, the value arrives on an open port."""
     elements = tuple(elements)
     _check_values(bound, elements=elements)
     schedules = [one_shot(value) for value in elements]
-    network = _build_search(builder, schedules, ExplicitSchedule(), bound + 1)
+    network = _build_search(schedules, ExplicitSchedule(), bound + 1)
     return CompiledSearch(network, (VALUE_PORT,))
 
 
-def compile_search_full_input(
-    size: int, bound: int, builder: NetworkBuilder | None = None
-) -> CompiledSearch:
+def compile_search_full_input(size: int, bound: int) -> CompiledSearch:
     """Variant c: only the array length is fixed; everything arrives on ports."""
     if type(size) is not int:
         raise ValueError("size must be an integer")
     if size < 0:
         raise ValueError("size must be >= 0")
     _check_values(bound)
-    network = _build_search(builder, [ExplicitSchedule()] * size, ExplicitSchedule(), bound + 1)
+    network = _build_search([ExplicitSchedule()] * size, ExplicitSchedule(), bound + 1)
     return CompiledSearch(network, tuple(map(element_port, range(size))) + (VALUE_PORT,))
 
 
@@ -233,39 +228,40 @@ def _sample_array_instance(rng: Random, domain: Domain) -> ArrayInstance:
 
 
 def _array_search_entry(variant: str) -> CompilerEntry:
-    # The compilers are looked up as module globals at call time, so
+    # The compiler is looked up as a module global at call time, so
     # wrappers installed on this module (profilers, tracers) see every call.
     # `split` writes its port schedules straight from the instance, which
     # `ArrayInstance` or the sweep's `_instance_in_range` has already checked.
     if variant == "a":
+        compiler = "compile_search_embedded"
+
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             return (instance,), {}
-
-        def compile(instance: ArrayInstance, builder: NetworkBuilder) -> CompiledSearch:
-            return CompiledSearch(compile_search_embedded(instance, builder), ())
 
         def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
             raise ValueError("variant a needs --target")
     elif variant == "b":
+        compiler = "compile_search_value_input"
+
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             return (instance.elements, instance.bound), {VALUE_PORT: one_shot(instance.target)}
-
-        def compile(elements, bound: int, builder: NetworkBuilder) -> CompiledSearch:
-            return compile_search_value_input(elements, bound, builder)
 
         def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
             return (array, bound)
     else:
+        compiler = "compile_search_full_input"
+
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
             schedules = {element_port(j): one_shot(v) for j, v in enumerate(instance.elements)}
             schedules[VALUE_PORT] = one_shot(instance.target)
             return (instance.size, instance.bound), schedules
 
-        def compile(size: int, bound: int, builder: NetworkBuilder) -> CompiledSearch:
-            return compile_search_full_input(size, bound, builder)
-
         def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
+            _check_values(bound, elements=array)
             return (len(array) if size is None else size, bound)
+
+    def compile(*args) -> CompiledSearch:
+        return globals()[compiler](*args)
 
     def from_flags(
         array: tuple[int, ...], size: int | None, target: int | None, bound: int

@@ -7,8 +7,9 @@ network the generator produced (one elementary operation per neuron,
 synapse and scheduled spike, a stand-in for machine time), runs the
 network, and compares every measured resource against its declared bound.
 
-A compiler's `compile` returns a `CompiledStructure`: a network with open
-input ports and the one rule for binding them.
+A compiler's `compile` takes only its compile arguments and returns a
+`CompiledStructure`: a network with its open input ports, if any, and the one
+rule for binding them.
 
 The harness imports no problem family: each family's module (array search
 in `arraysearch`) registers its own `CompilerEntry` records. The one entry
@@ -213,10 +214,13 @@ class CompilerEntry:
 
     An entry may also declare how its compiler splits in two: `split` maps
     an instance to the arguments of `compile` and the port schedules bound
-    into the compiled structure. Instances with equal compile arguments then
-    share one structure, which `verify_equivalence` plans once; the sweep
-    needs both. Such an entry's `build` is `composed_build(split, compile)`,
-    so it compiles and binds exactly as the sweep does.
+    into the compiled structure. `compile` takes exactly those arguments and
+    returns a `CompiledStructure`. Instances with equal compile arguments
+    then share one structure, which `verify_equivalence` plans once; the
+    sweep needs both. Such an entry's `build` is `composed_build(split,
+    compile)`, so it compiles and binds exactly as the sweep does. `build`
+    keeps its builder argument for the callers that pass one; a composed
+    build ignores it.
 
     An entry named `<problem>-<variant>` that declares `from_flags` is
     offered by the command line's `compile` and `verify` and by the host
@@ -248,11 +252,11 @@ def composed_build(
     split: Callable[[Any], tuple[tuple, Mapping[str, object]]],
     compile: Callable[..., CompiledStructure],
 ) -> Callable[[Any, NetworkBuilder], Network]:
-    """The build that compiles an instance's structure and binds its ports."""
+    """The build that compiles an instance's structure and binds its ports, ignoring `builder`."""
 
     def build(instance: Any, builder: NetworkBuilder) -> Network:
         args, schedules = split(instance)
-        return compile(*args, builder).bind(schedules)
+        return compile(*args).bind(schedules)
 
     return build
 
@@ -327,7 +331,7 @@ def compile_from_flags(
     compile_args, schedules = entry.from_flags(
         array=array, size=flags.size, target=flags.target, bound=flags.bound
     )
-    compiled = entry.compile(*compile_args, NetworkBuilder())
+    compiled = entry.compile(*compile_args)
     if schedules is not None:
         compiled.check_ports(schedules)
     return compiled, schedules
@@ -476,7 +480,7 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         checked += 1
         args, schedules = entry.split(instance)
         if structure is None or structure[0] != args:
-            compiled = entry.compile(*args, NetworkBuilder())
+            compiled = entry.compile(*args)
             structure = (args, compiled, build_plan(compiled.network))
         structure[1].check_ports(schedules)
         max_steps = entry.step_limit(instance)

@@ -166,6 +166,11 @@ def as_schedule(value: object) -> SpikeSchedule:
     raise TypeError(f"cannot interpret {value!r} as a spike schedule")
 
 
+def _id_order(name: object) -> tuple[bool, str]:
+    """One order for ids of any type: strings first, then the rest by `str`."""
+    return (not isinstance(name, str), str(name))
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable network value: neurons, schedules, synapses, designations.
@@ -184,12 +189,20 @@ class Network:
     gadget_tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        neurons = tuple(sorted(self.neurons, key=attrgetter("id")))
-        programmed = {k: self.programmed[k] for k in sorted(self.programmed)}
-        synapses = tuple(sorted(self.synapses))
-        object.__setattr__(self, "neurons", neurons)
-        object.__setattr__(self, "programmed", programmed)
-        object.__setattr__(self, "synapses", synapses)
+        neurons, names, synapses = list(self.neurons), list(self.programmed), list(self.synapses)
+        try:
+            neurons.sort(key=attrgetter("id"))
+            names.sort()
+            synapses.sort()
+        except TypeError:
+            # Only ids or delays of mixed types fail to compare, and
+            # `validate_network` lists those, so valid networks never get here.
+            neurons.sort(key=lambda spec: _id_order(spec.id))
+            names.sort(key=_id_order)
+            synapses.sort(key=lambda syn: (*map(_id_order, syn[:3]), syn.weight))
+        object.__setattr__(self, "neurons", tuple(neurons))
+        object.__setattr__(self, "programmed", {k: self.programmed[k] for k in names})
+        object.__setattr__(self, "synapses", tuple(synapses))
         object.__setattr__(self, "gadget_tags", frozenset(self.gadget_tags))
 
     def ids(self) -> frozenset[str]:
@@ -345,8 +358,7 @@ def validate_network(network: Network) -> list[str]:
             out.append(f"{role} names unknown neuron {name!r}")
     if network.accept is not None and network.accept == network.reject:
         out.append(f"accept and reject are both {network.accept!r}")
-    # Strings first, so that tags of mixed types sort too.
-    for name in sorted(network.gadget_tags, key=lambda tag: (not isinstance(tag, str), str(tag))):
+    for name in sorted(network.gadget_tags, key=_id_order):
         if name not in seen:
             out.append(f"gadget tag names unknown neuron {name!r}")
     return out
@@ -419,7 +431,7 @@ class NetworkBuilder:
         names.extend(network.programmed)
         taken = self._ids.intersection(names)
         if taken:
-            raise ValueError(f"id collision between merged parts: {sorted(taken)}")
+            raise ValueError(f"id collision between merged parts: {sorted(taken, key=_id_order)}")
         self._neurons.extend(network.neurons)
         self._programmed.update(network.programmed)
         self._ids.update(names)

@@ -322,7 +322,7 @@ class TestDetectorParameters:
         for n in sizes:
             elements = tuple(j % 4 for j in range(n))
             networks = (
-                compile_search_embedded(ArrayInstance(elements, 1, 4)),
+                compile_search_embedded(ArrayInstance(elements, 1, 4)).network,
                 compile_search_value_input(elements, 4).network,
                 compile_search_full_input(n, 4).network,
             )

@@ -460,8 +460,8 @@ class TestVerify:
         # whose array holds the target is a mismatch.
         entry = harness.get_compiler("array-search-a")
 
-        def compile_without_array(instance, builder):
-            return entry.compile(ArrayInstance((), instance.target, instance.bound), builder)
+        def compile_without_array(instance):
+            return entry.compile(ArrayInstance((), instance.target, instance.bound))
 
         monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
         harness.register_compiler(replace(entry, compile=compile_without_array))

@@ -153,7 +153,7 @@ def test_validate_sparse_network_without_fraction_operators(monkeypatch):
 
 
 def test_weight_magnitude_without_fraction_operators(monkeypatch):
-    network = compile_search_embedded(ArrayInstance((3, 1, 4, 1), 4, 8))
+    network = compile_search_embedded(ArrayInstance((3, 1, 4, 1), 4, 8)).network
     network = attach_meter(attach_timer(network, 9), 6)
     want = {name: network.incoming_weight_magnitudes([name])[name] for name in network.ids()}
     assert any(syn.weight.denominator > 1 for syn in network.synapses)

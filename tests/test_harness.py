@@ -465,8 +465,8 @@ class TestVerifyEquivalence:
         # cross it: a mutation the sweep must flag.
         entry = get_compiler("array-search-a")
 
-        def corrupted_compile(instance, builder):
-            compiled = entry.compile(instance, builder)
+        def corrupted_compile(instance):
+            compiled = entry.compile(instance)
             neurons = tuple(
                 spec if spec.id != "acc" else replace(spec, threshold=Fraction(1))
                 for spec in compiled.network.neurons
@@ -551,8 +551,8 @@ class TestVerifyEquivalence:
         # the swept report must still equal one built instance by instance.
         entry = get_compiler("array-search-c")
 
-        def corrupted_compile(size, bound, builder):
-            compiled = entry.compile(size, bound, builder)
+        def corrupted_compile(size, bound):
+            compiled = entry.compile(size, bound)
             neurons = tuple(
                 spec if spec.id != "acc" else type(spec)(spec.id, 1, spec.reset, spec.leak)
                 for spec in compiled.network.neurons

@@ -274,6 +274,55 @@ def test_unhashable_ids_are_listed_by_every_checking_path():
         assert excinfo.value.violations == violations
 
 
+_AB = (NeuronSpec("a"), NeuronSpec("b"))
+
+
+@pytest.mark.parametrize(
+    "parts, violations",
+    [
+        ({"neurons": (NeuronSpec(5), NeuronSpec("b"), NeuronSpec("a"))}, ["invalid neuron id 5"]),
+        ({"programmed": {5: one_shot(2), "a": one_shot(1)}}, ["invalid neuron id 5"]),
+        ({"neurons": _AB, "synapses": (SynapseSpec(["a"], "b"), SynapseSpec("a", "b"))},
+         ["synapse ['a']->b: unknown pre neuron ['a']"]),
+        ({"neurons": _AB, "synapses": (SynapseSpec("a", "b", "2"), SynapseSpec("a", "b"))},
+         ["synapse a->b: delay must be >= 1"]),
+    ],
+)
+def test_ids_of_mixed_types_are_listed_by_every_checking_path(parts, violations):
+    net = Network(**parts)
+    assert validate_network(net) == violations
+    builder = NetworkBuilder()
+    builder.add_network(net)
+    for checked in (lambda: serialize_network(net), builder.build):
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            checked()
+        assert excinfo.value.violations == violations
+
+
+def test_ids_of_mixed_types_sort_strings_first_then_by_str():
+    net = Network(
+        neurons=(NeuronSpec(10), NeuronSpec("b"), NeuronSpec(9), NeuronSpec("a")),
+        programmed={5: one_shot(2), "p": one_shot(1)},
+        synapses=(SynapseSpec(9, "a"), SynapseSpec("b", "a", "x"), SynapseSpec("b", "a")),
+    )
+    assert [spec.id for spec in net.neurons] == ["a", "b", 10, 9]
+    assert list(net.programmed) == ["p", 5]
+    assert net.synapses == (("b", "a", "x", 1), ("b", "a", 1, 1), (9, "a", 1, 1))
+    assert Network(
+        neurons=tuple(reversed(net.neurons)),
+        programmed=dict(reversed(net.programmed.items())),
+        synapses=tuple(reversed(net.synapses)),
+    ) == net
+
+
+def test_builder_names_colliding_ids_of_mixed_types():
+    builder = NetworkBuilder()
+    builder.add_neuron(5)
+    builder.add_neuron("a")
+    with pytest.raises(ValueError, match=r"id collision between merged parts: \['a', 5\]"):
+        builder.add_network(Network(neurons=(NeuronSpec(5), NeuronSpec("a"))))
+
+
 def test_check_network_raises_with_all_violations():
     bad = Network(
         neurons=(NeuronSpec("a", threshold=Fraction(-1)),),

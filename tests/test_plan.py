@@ -49,7 +49,7 @@ def test_rebound_plan_equals_plan_of_rebound_network(variant):
     entry = get_compiler(f"array-search-{variant}")
     for instance in _instances(entry, SWEEP_DOMAIN, seed=5):
         args, schedules = entry.split(instance)
-        network = entry.compile(*args, NetworkBuilder()).network
+        network = entry.compile(*args).network
         # Variant a has no ports; moving its value spike still rebinds a schedule.
         moved = {**schedules, VALUE_PORT: one_shot((instance.target + 1) % instance.bound)}
         for bindings in (schedules, moved):
@@ -67,7 +67,7 @@ def test_rebound_plan_runs_like_the_built_network(variant):
     domain = Domain(max_len=2, max_val=4, random_instances=10, random_max_len=5, random_max_val=7)
     for instance in _instances(entry, domain, seed=11):
         args, schedules = entry.split(instance)
-        plan = build_plan(entry.compile(*args, NetworkBuilder()).network)
+        plan = build_plan(entry.compile(*args).network)
         limits = RunLimits(entry.step_limit(instance))
         swept = run(plan.with_schedules(schedules), limits, trace=True, validate=False)
         built = run(entry.build(instance, NetworkBuilder()), limits, trace=True)

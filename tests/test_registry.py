@@ -8,6 +8,7 @@ entry's own `build` must agree on every network.
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,14 @@ from snnkit.cli import main
 from snnkit.harness import (
     CompiledStructure,
     CompilerEntry,
+    Domain,
     composed_build,
     get_compiler,
     register_compiler,
+    registered_compilers,
 )
 from snnkit.hostprog import HostProgramError, build_compiled_network, host_run
-from snnkit.model import ExplicitSchedule, NetworkBuilder, one_shot
+from snnkit.model import ExplicitSchedule, Network, NetworkBuilder, one_shot
 from snnkit.snnfmt import parse_network, parse_port_bindings
 
 
@@ -94,6 +97,8 @@ def test_front_ends_agree(variant, flags, instance, tmp_path):
          "--size disagrees with --array"),
         (("--variant", "a", "--array", "1", "--bound", "4"), "variant a needs --target"),
         (("--variant", "b", "--size", "3", "--bound", "4"), "--size disagrees with --array"),
+        (("--variant", "c", "--array", "9,-3", "--bound", "4"),
+         "array elements must satisfy 0 <= element < bound"),
     ],
 )
 def test_front_ends_reject_alike(flags, message, tmp_path, capsys):
@@ -130,14 +135,35 @@ def test_front_ends_reject_outside_spellings(flags, tmp_path, capsys):
     assert not sidecar.exists()
 
 
+@pytest.mark.parametrize(
+    "name", [name for name in registered_compilers() if get_compiler(name).split is not None]
+)
+def test_compile_takes_exactly_the_split_arguments(name):
+    # Every entry compiles from `split`'s arguments alone, and its build,
+    # which still takes a builder, binds that structure and leaves the builder empty.
+    entry = get_compiler(name)
+    domain = Domain(max_len=2, max_val=3, random_instances=20, random_max_len=5, random_max_val=7)
+    rng = Random(3)
+    instances = list(entry.enumerate_domain(domain))
+    instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+    for instance in instances:
+        args, schedules = entry.split(instance)
+        compiled = entry.compile(*args)
+        assert isinstance(compiled, CompiledStructure), instance
+        builder = NetworkBuilder()
+        assert compiled.bind(schedules) == entry.build(instance, builder), instance
+        assert builder.build() == Network()
+
+
 def _toy_entry(calls):
     """A one-port compiler: the port fires at the target and excites accept."""
 
     def split(instance):
         return (instance.bound,), {"p": one_shot(instance.target)}
 
-    def compile(bound, builder):
+    def compile(bound):
         calls.append(bound)
+        builder = NetworkBuilder()
         builder.add_input("p", ExplicitSchedule())
         builder.add_neuron("acc")
         builder.add_synapse("p", "acc")

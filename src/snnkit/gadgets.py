@@ -99,19 +99,19 @@ def make_number(value: int, period: int, prefix: str = "num") -> Fragment:
 def _guard_builder(network: Network, gadget: str) -> NetworkBuilder:
     """A builder holding `network`, whose verdict neurons a guard can drive.
 
-    The network needs an accept neuron, and no verdict neuron may be
-    programmed, since programmed neurons ignore their inputs.
+    The network needs an accept neuron, and each verdict neuron must be a
+    regular neuron of it, since programmed neurons ignore their inputs. An
+    id the builder refuses, or a verdict that names no regular neuron,
+    raises ValueError.
     """
     if network.accept is None:
         raise ValueError(f"{gadget} needs a network with an accept neuron")
-    for name in (network.accept, network.reject):
-        if name in network.programmed:
-            raise ValueError(
-                f"{gadget} needs a regular {name!r} verdict neuron;"
-                " programmed neurons ignore inputs"
-            )
     builder = NetworkBuilder()
     builder.add_network(network)
+    for name in (network.accept, network.reject):
+        if name is not None and (not builder.has(name) or name in network.programmed):
+            why = "; programmed neurons ignore inputs" if builder.has(name) else ""
+            raise ValueError(f"{gadget} needs a regular {name!r} verdict neuron{why}")
     return builder
 
 

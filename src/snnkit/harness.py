@@ -212,15 +212,14 @@ class CompiledStructure:
 class CompilerEntry:
     """A registered instance-to-network compiler with its reference oracle.
 
-    An entry may also declare how its compiler splits in two: `split` maps
-    an instance to the arguments of `compile` and the port schedules bound
-    into the compiled structure. `compile` takes exactly those arguments and
-    returns a `CompiledStructure`. Instances with equal compile arguments
-    then share one structure, which `verify_equivalence` plans once; the
-    sweep needs both. Such an entry's `build` is `composed_build(split,
-    compile)`, so it compiles and binds exactly as the sweep does. `build`
-    keeps its builder argument for the callers that pass one; a composed
-    build ignores it.
+    Every entry splits, compiles and declares caps. `split` maps an instance
+    to the arguments of `compile` and the port schedules bound into the
+    compiled structure; `compile` takes exactly those arguments and returns
+    a `CompiledStructure`, which instances with equal compile arguments
+    share. `caps` is the compiler's promise of TIME, payload SPACE and
+    payload ENERGY for each instance, and every measured run stops two steps
+    past its TIME (`_run_cap`). `build` is `composed_build(split, compile)`
+    and ignores its builder; it and `step_limit` are kept for outside callers.
 
     An entry named `<problem>-<variant>` that declares `from_flags` is
     offered by the command line's `compile` and `verify` and by the host
@@ -229,10 +228,6 @@ class CompilerEntry:
     `target` and `bound` (None when not given) and returns the compile
     arguments and the port schedules, or None for the schedules when no
     target is given. It raises ValueError on flags that name no instance.
-
-    `caps`, when declared, is the compiler's promise of TIME, payload SPACE
-    and payload ENERGY for each instance, checked on every swept instance.
-    `step_limit` is the run cap, at least the declared TIME.
     """
 
     name: str
@@ -240,11 +235,11 @@ class CompilerEntry:
     build: Callable[[Any, NetworkBuilder], Network]
     reference: Callable[[Any], bool]
     step_limit: Callable[[Any], int]
+    split: Callable[[Any], tuple[tuple, Mapping[str, object]]]
+    compile: Callable[..., CompiledStructure]
+    caps: Callable[[Any], ResourceCaps]
     enumerate_domain: Callable[["Domain"], Iterator[Any]] | None = None
     sample: Callable[[Random, "Domain"], Any] | None = None
-    caps: Callable[[Any], ResourceCaps] | None = None
-    split: Callable[[Any], tuple[tuple, Mapping[str, object]]] | None = None
-    compile: Callable[..., CompiledStructure] | None = None
     from_flags: Callable[..., tuple[tuple, Mapping[str, object] | None]] | None = None
 
 
@@ -337,6 +332,11 @@ def compile_from_flags(
     return compiled, schedules
 
 
+def _run_cap(caps: ResourceCaps) -> int:
+    """The step cap of a measured run: two steps past the declared TIME, and at least 3."""
+    return max(caps.time, 1) + 2
+
+
 def generate_and_decide(
     compiler: str,
     instance: Any,
@@ -350,7 +350,8 @@ def generate_and_decide(
     bounds with the payload network's measurements: executed steps, payload
     neuron count and payload energy (spikes excluding instrumentation).
     Violations are reported, never fatal; the timer, when requested, turns
-    a time overrun into an actual reject verdict.
+    a time overrun into an actual reject verdict. The run stops at
+    `_run_cap`, the one run cap that the sweep uses too.
     """
     entry = get_compiler(compiler)
     n = entry.size_of(instance)
@@ -364,7 +365,7 @@ def generate_and_decide(
         network = attach_meter(network, max(caps.energy, 1))
     report = run(
         network,
-        RunLimits(max_steps=max(caps.time, 1) + 2),
+        RunLimits(max_steps=_run_cap(caps)),
         validate=False,
     ).report
     return Decision(
@@ -411,7 +412,8 @@ class Domain:
 
     Arrays have length 0..max_len and values 0..max_val-1; random samples
     draw from lengths 0..random_max_len and values 0..random_max_val-1.
-    Bounds that leave a range empty, or a negative sample count, raise
+    Every field must be an int, not a bool or a float. A field of another
+    type, bounds that leave a range empty, or a negative sample count raise
     ValueError, so a sweep can never pass by checking nothing.
     """
 
@@ -422,6 +424,9 @@ class Domain:
     random_max_val: int = 64
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"domain field {name} must be an integer, not {value!r}")
         if self.max_len < 0 or self.random_max_len < 0:
             raise ValueError("array lengths must be >= 0")
         if self.max_val < 1 or self.random_max_val < 1:
@@ -449,20 +454,18 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     """Exhaustively sweep the small domain (plus seeded random samples).
 
     Every instance runs and is compared against the compiler's brute-force
-    reference, and, when the entry declares `caps`, its TIME, payload SPACE
-    and payload ENERGY against them through `ResourceCaps.exceeded`: an
-    instance over any cap is a bound violation. The entry needs
-    `enumerate_domain`, `split` and `compile`. Consecutive instances with
-    equal compile arguments share one compiled structure and plan; each runs
-    as that plan with its own port schedules. Instances with equal
-    `step_limit` values share one `RunLimits`. `inequality_violations` is
+    reference, and its TIME, payload SPACE and payload ENERGY against the
+    entry's `caps` through `ResourceCaps.exceeded`: an instance over any cap
+    is a bound violation. Each run stops at `_run_cap`, as in
+    `generate_and_decide`, and instances with equal run caps share one
+    `RunLimits`. The entry needs `enumerate_domain`. Consecutive instances
+    with equal compile arguments share one compiled structure and plan; each
+    runs as that plan with its own port schedules. `inequality_violations` is
     always empty: every `ResourceReport` already keeps ENERGY <= TIME * SPACE.
     """
     entry = get_compiler(compiler)
     if entry.enumerate_domain is None:
         raise ValueError(f"compiler {compiler!r} does not support domain enumeration")
-    if entry.split is None or entry.compile is None:
-        raise ValueError(f"compiler {compiler!r} declares no split and compile to sweep")
     instances: Iterable[Any] = entry.enumerate_domain(domain)
     if domain.random_instances:
         if entry.sample is None:
@@ -470,12 +473,11 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         rng = Random(seed)
         sampled = [entry.sample(rng, domain) for _ in range(domain.random_instances)]
         instances = itertools.chain(instances, sampled)
-    declared = entry.caps
     checked = 0
     mismatches = []
     bound_violations = []
     structure = None  # (compile arguments, compiled, plan) of the previous instance
-    limits: dict[int, RunLimits] = {}  # step limit -> its RunLimits
+    limits: dict[int, RunLimits] = {}  # run cap -> its RunLimits
     for instance in instances:
         checked += 1
         args, schedules = entry.split(instance)
@@ -483,7 +485,8 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
             compiled = entry.compile(*args)
             structure = (args, compiled, build_plan(compiled.network))
         structure[1].check_ports(schedules)
-        max_steps = entry.step_limit(instance)
+        caps = entry.caps(instance)
+        max_steps = _run_cap(caps)
         run_limits = limits.get(max_steps)
         # A bool or float equal to a cached int must still fail RunLimits' check.
         if run_limits is None or type(max_steps) is not int:
@@ -494,9 +497,7 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
         expected = entry.reference(instance)
         if report.verdict != (ACCEPT if expected else REJECT):
             mismatches.append(Mismatch(instance, report.verdict, expected))
-        if declared is not None and declared(instance).exceeded(
-            report.time, report.neurons, report.energy_payload
-        ):
+        if caps.exceeded(report.time, report.neurons, report.energy_payload):
             bound_violations.append(instance)
     return MismatchReport(checked, tuple(mismatches), tuple(bound_violations), ())
 
@@ -505,17 +506,20 @@ def _constant_accept_entry() -> CompilerEntry:
     # The degenerate generator that maps every instance to the same
     # one-neuron accepting network: constant cost, decides nothing, and the
     # reason generation effort must be metered at all.
-    def build(instance: Any, builder: NetworkBuilder) -> Network:
-        builder.add_input("acc", [0])
-        builder.set_accept("acc")
-        return builder.build()
-
+    builder = NetworkBuilder()
+    builder.add_input("acc", [0])
+    builder.set_accept("acc")
+    compiled = CompiledStructure(builder.build(), ())
+    split, compile = (lambda instance: ((), {})), (lambda: compiled)
     return CompilerEntry(
         name="constant-accept",
         size_of=lambda instance: getattr(instance, "size", 0),
-        build=build,
+        build=composed_build(split, compile),
         reference=lambda instance: True,
         step_limit=lambda instance: 2,
+        split=split,
+        compile=compile,
+        caps=lambda instance: ResourceCaps(time=1, space=1, energy=1),
     )
 
 

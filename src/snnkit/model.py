@@ -166,6 +166,14 @@ def as_schedule(value: object) -> SpikeSchedule:
     raise TypeError(f"cannot interpret {value!r} as a spike schedule")
 
 
+def _hashable(name: object) -> bool:
+    try:
+        hash(name)
+    except TypeError:
+        return False
+    return True
+
+
 def _id_order(name: object) -> tuple[bool, str]:
     """One order for ids of any type: strings first, then the rest by `str`."""
     return (not isinstance(name, str), str(name))
@@ -222,11 +230,16 @@ class Network:
         """Sum of |weight| over the synapses into each of `posts`, in one walk.
 
         Each sum is an integer over a running common denominator, so the one
-        reduction per name happens when its result is built.
+        reduction per name happens when its result is built. An unhashable
+        post, which `validate_network` lists, is none of `posts`.
         """
         sums = dict.fromkeys(posts, (0, 1))
         for syn in self.synapses:
-            if syn.post in sums:
+            try:
+                hit = syn.post in sums
+            except TypeError:
+                continue
+            if hit:
                 total, den = sums[syn.post]
                 p, q = syn.weight.as_integer_ratio()
                 if den % q:
@@ -378,7 +391,8 @@ class NetworkBuilder:
     Whole networks go in through `add_network`, which is how the gadgets
     compose. `build()` validates the assembled network and raises on any
     violation, so networks produced through the builder are always
-    well-formed.
+    well-formed. An unhashable id is refused where it is added, with
+    `validate_network`'s `invalid neuron id` ValueError, adding nothing.
     """
 
     def __init__(self):
@@ -391,7 +405,19 @@ class NetworkBuilder:
         self._gadget_tags: set[str] = set()
 
     def has(self, name: str) -> bool:
-        return name in self._ids
+        try:
+            return name in self._ids
+        except TypeError:  # unhashable, so never an id
+            return False
+
+    def _claim(self, name: object) -> None:
+        """Raise ValueError unless `name` can be added as a new id."""
+        try:
+            taken = name in self._ids
+        except TypeError:
+            raise ValueError(f"invalid neuron id {name!r}") from None
+        if taken:
+            raise ValueError(f"duplicate id {name!r}")
 
     def add_neuron(
         self,
@@ -400,15 +426,13 @@ class NetworkBuilder:
         reset: object = DEFAULT_RESET,
         leak: object = DEFAULT_LEAK,
     ) -> str:
-        if self.has(name):
-            raise ValueError(f"duplicate id {name!r}")
+        self._claim(name)
         self._neurons.append(NeuronSpec(name, threshold, reset, leak))
         self._ids.add(name)
         return name
 
     def add_input(self, name: str, schedule: object) -> str:
-        if self.has(name):
-            raise ValueError(f"duplicate id {name!r}")
+        self._claim(name)
         self._programmed[name] = as_schedule(schedule)
         self._ids.add(name)
         return name
@@ -425,11 +449,15 @@ class NetworkBuilder:
     def add_network(self, network: Network) -> None:
         """Add a network's neurons, inputs, synapses and gadget tags, not its designations.
 
-        Raises ValueError, adding nothing, when one of its ids is taken.
+        Raises ValueError, adding nothing, when one of its ids is taken or unhashable.
         """
         names = [spec.id for spec in network.neurons]
         names.extend(network.programmed)
-        taken = self._ids.intersection(names)
+        try:
+            taken = self._ids.intersection(names)
+        except TypeError:
+            unhashable = [name for name in names if not _hashable(name)]
+            raise ValueError(f"invalid neuron id {unhashable[0]!r}") from None
         if taken:
             raise ValueError(f"id collision between merged parts: {sorted(taken, key=_id_order)}")
         self._neurons.extend(network.neurons)
@@ -445,7 +473,10 @@ class NetworkBuilder:
         self._reject = name
 
     def tag_gadget(self, name: str) -> None:
-        self._gadget_tags.add(name)
+        try:
+            self._gadget_tags.add(name)
+        except TypeError:
+            raise ValueError(f"invalid neuron id {name!r}") from None
 
     def build(self, validate: bool = True) -> Network:
         network = Network(

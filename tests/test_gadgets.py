@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from snnkit.gadgets import (
     merge,
 )
 from snnkit.harness import Domain, get_compiler
-from snnkit.model import NetworkBuilder, SynapseSpec
+from snnkit.model import Network, NetworkBuilder, NeuronSpec, SynapseSpec, validate_network
 from snnkit.randnet import random_network
 from snnkit.snnfmt import serialize_network
 
@@ -362,6 +363,44 @@ class TestMerge:
         report, _ = run(net, RunLimits(10))
         assert report.verdict == "accept"
         assert report.time == 3
+
+
+# Networks that `validate_network` lists as invalid, and each guard's refusal.
+INVALID_FOR_GUARDS = [
+    (Network(neurons=(NeuronSpec("a"), NeuronSpec(["b"])), accept="a"), "invalid neuron id ['b']"),
+    (Network(neurons=(NeuronSpec("a"),), accept=["a"]), "needs a regular ['a'] verdict neuron"),
+    (Network(neurons=(NeuronSpec("a"),), accept="zz"), "needs a regular 'zz' verdict neuron"),
+    (
+        Network(neurons=(NeuronSpec("a"),), accept="a", reject="zz"),
+        "needs a regular 'zz' verdict neuron",
+    ),
+]
+
+
+@pytest.mark.parametrize("guard", [attach_timer, attach_meter])
+@pytest.mark.parametrize("network, message", INVALID_FOR_GUARDS)
+def test_guards_refuse_invalid_ids_with_value_error(guard, network, message):
+    assert validate_network(network) != []
+    with pytest.raises(ValueError) as excinfo:
+        guard(network, 3)
+    assert message in str(excinfo.value)
+
+
+def test_merge_refuses_an_unhashable_id():
+    network = INVALID_FOR_GUARDS[0][0]
+    with pytest.raises(ValueError, match=re.escape("invalid neuron id ['b']")):
+        merge([network])
+
+
+@pytest.mark.parametrize("guard", [attach_timer, attach_meter])
+def test_guards_keep_an_unhashable_synapse_end_for_validation(guard):
+    # Such a synapse drives no verdict neuron; the guarded network still lists it.
+    network = Network(
+        neurons=(NeuronSpec("a"), NeuronSpec("n")),
+        synapses=(SynapseSpec("n", ["b"]),),
+        accept="a",
+    )
+    assert "synapse n->['b']: unknown post neuron ['b']" in validate_network(guard(network, 3))
 
 
 def test_fresh_id():

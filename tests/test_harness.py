@@ -190,6 +190,22 @@ class TestGenerateAndDecide:
             costs.add(decision.cost)
         assert len(costs) == 1
 
+    def test_constant_accept_reaches_its_caps(self):
+        # Its one run measures exactly the caps it declares, so a cap one
+        # lower on any resource is reported.
+        entry = get_compiler("constant-accept")
+        instance = ArrayInstance((1, 2, 3), 2, 4)
+        caps = entry.caps(instance)
+        network = entry.build(instance, NetworkBuilder())
+        report = run(network, RunLimits(max(caps.time, 1) + 2)).report
+        measured = (report.time, report.neurons, report.energy_payload)
+        assert report.verdict == "accept"
+        assert caps == ResourceCaps(1, 1, 1) and measured == (1, 1, 1)
+        assert caps.exceeded(*measured) == ()
+        for resource in ("time", "space", "energy"):
+            lower = replace(caps, **{resource: getattr(caps, resource) - 1})
+            assert lower.exceeded(*measured) == (resource,)
+
     def test_generator_cost_counts_ops(self):
         instance = ArrayInstance((3, 5), 1, 8)
         decision = generate_and_decide("array-search-a", instance, _fig_bounds(8))
@@ -363,18 +379,17 @@ def _per_instance_report(compiler, domain, seed):
     mismatches, bound_violations = [], []
     for instance in instances:
         network = entry.build(instance, NetworkBuilder())
-        report = run(network, RunLimits(max_steps=entry.step_limit(instance)), validate=False).report
+        caps = entry.caps(instance)
+        report = run(network, RunLimits(max_steps=max(caps.time, 1) + 2), validate=False).report
         expected = entry.reference(instance)
         if report.verdict != ("accept" if expected else "reject"):
             mismatches.append(Mismatch(instance, report.verdict, expected))
-        if entry.caps is not None:
-            caps = entry.caps(instance)
-            if (
-                report.time > caps.time
-                or report.neurons > caps.space
-                or report.energy_payload > caps.energy
-            ):
-                bound_violations.append(instance)
+        if (
+            report.time > caps.time
+            or report.neurons > caps.space
+            or report.energy_payload > caps.energy
+        ):
+            bound_violations.append(instance)
     return MismatchReport(len(instances), tuple(mismatches), tuple(bound_violations), ())
 
 
@@ -454,11 +469,22 @@ class TestVerifyEquivalence:
             {"max_len": 1, "max_val": 2, "random_instances": -1},
             {"max_len": 1, "max_val": 2, "random_max_len": -1},
             {"max_len": 1, "max_val": 2, "random_max_val": 0},
+            # Every field is an int: a bool or a float is refused, not swept.
+            {"max_len": 2, "max_val": 2.5},
+            {"max_len": 2, "max_val": 4, "random_instances": 1.5},
+            {"max_len": True, "max_val": 4},
+            {"max_len": 2, "max_val": 4, "random_instances": True},
+            {"max_len": 2, "max_val": 4, "random_max_len": 4.0},
+            {"max_len": 2, "max_val": 4, "random_max_val": True},
         ],
     )
     def test_empty_or_malformed_domain_rejected(self, bounds):
         with pytest.raises(ValueError):
             Domain(**bounds)
+
+    def test_domain_names_the_field_of_another_type(self):
+        with pytest.raises(ValueError, match="random_instances must be an integer, not 1.5"):
+            Domain(2, 4, random_instances=1.5)
 
     def test_corrupted_compiler_is_caught(self):
         # Lowering the detector threshold to 1 lets duplicate elements alone
@@ -489,14 +515,6 @@ class TestVerifyEquivalence:
             for m in report.mismatches
         )
 
-    @pytest.mark.parametrize("missing", ["split", "compile"])
-    def test_entry_without_split_and_compile_is_refused(self, missing):
-        entry = replace(get_compiler("array-search-b"), name="array-search-b-whole", from_flags=None)
-        assert entry.enumerate_domain is not None
-        register_compiler(replace(entry, **{missing: None}))
-        with pytest.raises(ValueError, match="no split and compile"):
-            verify_equivalence("array-search-b-whole", Domain(max_len=1, max_val=2))
-
     def test_entry_without_domain_enumeration_is_refused(self):
         with pytest.raises(ValueError, match="'constant-accept' does not support domain enumeration"):
             verify_equivalence("constant-accept", Domain(1, 2))
@@ -515,9 +533,10 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_limits_are_shared_only_between_equal_values(self, variant):
-        # Each instance's cap is exactly the TIME of its verdict, so a sweep
-        # that ran one instance under another's cap would time it out.
-        def tight(instance):
+        # Each instance's TIME cap is declared so that its run cap, two steps
+        # past it, is exactly the step count of its verdict; a sweep that ran
+        # one instance under another's cap would time it out.
+        def steps(instance):
             if contains_target(instance):
                 return instance.target + 2  # accept at i + 1
             if variant == "a":
@@ -525,26 +544,36 @@ class TestVerifyEquivalence:
             return instance.target + instance.bound + 2  # reject at i + V + 1
 
         entry = get_compiler(f"array-search-{variant}")
-        for name, step_limit in (("tight", tight), ("short", lambda i: tight(i) - 1)):
-            register_compiler(replace(entry, name=name, step_limit=step_limit, from_flags=None))
+        for name, slack in (("tight", 2), ("short", 3)):
+            def caps(instance, slack=slack):
+                return replace(entry.caps(instance), time=steps(instance) - slack)
+
+            register_compiler(replace(entry, name=name, caps=caps, from_flags=None))
         domain = Domain(max_len=2, max_val=4, random_instances=10, random_max_len=4, random_max_val=9)
         report = verify_equivalence("tight", domain, seed=1)
         assert report == _per_instance_report("tight", domain, seed=1)
         assert report.checked == 94 and report.mismatches == ()
+        # A TIME cap below 1 still gives a 3-step run, so only the
+        # instances that need more than 3 steps time out one cap short.
         short = verify_equivalence("short", domain, seed=1)
-        assert len(short.mismatches) == short.checked
+        assert short == _per_instance_report("short", domain, seed=1)
+        rng = Random(1)
+        instances = list(entry.enumerate_domain(domain))
+        instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+        assert [m.instance for m in short.mismatches] == [i for i in instances if steps(i) > 3]
+        assert 0 < len(short.mismatches) < short.checked
         assert {m.network_verdict for m in short.mismatches} == {"timeout"}
 
     def test_step_limit_of_the_wrong_type_fails_after_an_equal_int(self):
         entry = get_compiler("array-search-b")
 
-        def step_limit(instance):
-            limit = entry.step_limit(instance)
-            return float(limit) if instance.target == 1 else limit
+        def caps(instance):
+            declared = entry.caps(instance)
+            return replace(declared, time=float(declared.time)) if instance.target == 1 else declared
 
-        register_compiler(replace(entry, name="float-limit", step_limit=step_limit, from_flags=None))
+        register_compiler(replace(entry, name="float-cap", caps=caps, from_flags=None))
         with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
-            verify_equivalence("float-limit", Domain(max_len=0, max_val=2))
+            verify_equivalence("float-cap", Domain(max_len=0, max_val=2))
 
     def test_corrupted_split_compiler_is_caught_through_reuse(self):
         # The same mutation in a compiler whose structures the sweep reuses:

@@ -8,7 +8,7 @@ build their networks through `NetworkBuilder`, and the rules for a
 well-formed neuron, schedule and synapse delay, and for rebinding a
 schedule, are written once, in `model`. The port rule of a compiled
 structure is written once, in `harness`, and the host language binds only
-through it. Generator cost is read off the generated network, so no module
+through it, as is the rule that caps every measured run by the declared caps. Generator cost is read off the generated network, so no module
 needs a builder of its own. The `.snn` parser keeps its caches on the
 parser object, so none outlives one parse.
 These checks read the sources as text and import nothing.
@@ -112,6 +112,17 @@ def test_host_binds_ports_through_the_port_rule():
         node
         for node in ast.walk(_trees()["hostprog"])
         if isinstance(node, ast.Attribute) and node.attr == "programmed"
+    ]
+    assert reads == []
+
+
+def test_harness_caps_runs_by_the_declared_caps_only():
+    # One rule derives every measured run's step cap from the caps; entries
+    # keep `step_limit` for callers outside the library only.
+    reads = [
+        node
+        for node in ast.walk(_trees()["harness"])
+        if isinstance(node, ast.Attribute) and node.attr == "step_limit"
     ]
     assert reads == []
 

@@ -323,6 +323,28 @@ def test_builder_names_colliding_ids_of_mixed_types():
         builder.add_network(Network(neurons=(NeuronSpec(5), NeuronSpec("a"))))
 
 
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda b: b.add_neuron(["b"]),
+        lambda b: b.add_input(["b"], [1]),
+        lambda b: b.tag_gadget(["b"]),
+        lambda b: b.add_network(Network(neurons=(NeuronSpec("a"), NeuronSpec(["b"])))),
+    ],
+    ids=["add_neuron", "add_input", "tag_gadget", "add_network"],
+)
+def test_builder_refuses_an_unhashable_id_adding_nothing(add):
+    # `validate_network` lists such an id; the builder refuses it in the same words.
+    builder = NetworkBuilder()
+    builder.add_neuron("n")
+    before = builder.build()
+    with pytest.raises(ValueError) as excinfo:
+        add(builder)
+    assert str(excinfo.value) == "invalid neuron id ['b']"
+    assert builder.build() == before
+    assert not builder.has(["b"])
+
+
 def test_check_network_raises_with_all_violations():
     bad = Network(
         neurons=(NeuronSpec("a", threshold=Fraction(-1)),),

@@ -21,6 +21,7 @@ from snnkit.harness import (
     CompiledStructure,
     CompilerEntry,
     Domain,
+    ResourceCaps,
     composed_build,
     get_compiler,
     register_compiler,
@@ -135,17 +136,17 @@ def test_front_ends_reject_outside_spellings(flags, tmp_path, capsys):
     assert not sidecar.exists()
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in registered_compilers() if get_compiler(name).split is not None]
-)
+@pytest.mark.parametrize("name", registered_compilers())
 def test_compile_takes_exactly_the_split_arguments(name):
     # Every entry compiles from `split`'s arguments alone, and its build,
     # which still takes a builder, binds that structure and leaves the builder empty.
     entry = get_compiler(name)
+    # constant-accept enumerates no domain of its own: it takes array-search instances.
+    source = entry if entry.enumerate_domain is not None else get_compiler("array-search-c")
     domain = Domain(max_len=2, max_val=3, random_instances=20, random_max_len=5, random_max_val=7)
     rng = Random(3)
-    instances = list(entry.enumerate_domain(domain))
-    instances += [entry.sample(rng, domain) for _ in range(domain.random_instances)]
+    instances = list(source.enumerate_domain(domain))
+    instances += [source.sample(rng, domain) for _ in range(domain.random_instances)]
     for instance in instances:
         args, schedules = entry.split(instance)
         compiled = entry.compile(*args)
@@ -181,6 +182,7 @@ def _toy_entry(calls):
         build=composed_build(split, compile),
         reference=lambda instance: True,
         step_limit=lambda instance: instance.bound + 2,
+        caps=lambda instance: ResourceCaps(time=instance.target + 2, space=2, energy=2),
         enumerate_domain=lambda domain: (
             ArrayInstance((), t, domain.max_val) for t in range(domain.max_val)
         ),

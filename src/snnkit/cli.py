@@ -24,6 +24,14 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
+# The exit code of each verdict that `sim`, `oracle` and `host` print; any other exits 3.
+_VERDICT_EXITS = {
+    engine.ACCEPT: EXIT_ACCEPT,
+    harness.ACCEPTED: EXIT_ACCEPT,
+    engine.REJECT: EXIT_REJECT,
+    harness.REJECTED: EXIT_REJECT,
+}
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -67,14 +75,6 @@ def _load_network(path: str, inputs: str | None = None):
     return network
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict == engine.ACCEPT:
-        return EXIT_ACCEPT
-    if verdict == engine.REJECT:
-        return EXIT_REJECT
-    return EXIT_VIOLATION
-
-
 def _cmd_sim(args) -> int:
     network = _load_network(args.network, args.inputs)
     limits = engine.RunLimits(max_steps=args.max_steps, max_total_spikes=args.max_spikes)
@@ -86,7 +86,7 @@ def _cmd_sim(args) -> int:
     if args.raster:
         sys.stdout.write(engine.render_raster(trace, network))
     print(engine.format_report_line(report))
-    return _verdict_exit(report.verdict)
+    return _VERDICT_EXITS.get(report.verdict, EXIT_VIOLATION)
 
 
 def _cmd_gadget(args) -> int:
@@ -95,15 +95,15 @@ def _cmd_gadget(args) -> int:
         network = gadgets.make_constant_firer(args.prefix or "const").to_network()
     elif kind == "clock":
         if args.period is None:
-            raise SystemExit("gadget clock needs --period")
+            raise ValueError("gadget clock needs --period")
         network = gadgets.make_clock(args.period, args.prefix or "clk").to_network()
     elif kind == "number":
         if args.value is None or args.period is None:
-            raise SystemExit("gadget number needs --value and --period")
+            raise ValueError("gadget number needs --value and --period")
         network = gadgets.make_number(args.value, args.period, args.prefix or "num").to_network()
     else:
         if args.bound is None or args.attach is None:
-            raise SystemExit(f"gadget {kind} needs --bound and --attach")
+            raise ValueError(f"gadget {kind} needs --bound and --attach")
         base = _load_network(args.attach)
         if kind == "timer":
             network = gadgets.attach_timer(base, args.bound)
@@ -121,12 +121,12 @@ def _same_destination(a: str, b: str) -> bool:
 
 def _cmd_compile(args) -> int:
     if args.inputs_out is not None and _same_destination(args.output, args.inputs_out):
-        raise SystemExit("--output and --inputs-out must name different destinations")
+        raise ValueError("--output and --inputs-out must name different destinations")
     compiled, schedules = harness.compile_from_flags(args.problem, args)
     if args.inputs_out is not None and schedules is None:
-        raise SystemExit("--inputs-out needs --target")
+        raise ValueError("--inputs-out needs --target")
     if schedules and not args.inputs_out:
-        raise SystemExit("emitting input schedules needs --inputs-out <file>")
+        raise ValueError("emitting input schedules needs --inputs-out <file>")
     outputs = []
     if args.inputs_out is not None:
         outputs.append((args.inputs_out, snnfmt.serialize_port_bindings(schedules)))
@@ -141,11 +141,7 @@ def _cmd_oracle(args) -> int:
     answer = harness.network_halting_oracle(network, caps)
     print(f"outcome={answer.outcome}")
     print(engine.format_report_line(answer.report))
-    if answer.outcome == harness.ACCEPTED:
-        return EXIT_ACCEPT
-    if answer.outcome == harness.REJECTED:
-        return EXIT_REJECT
-    return EXIT_VIOLATION
+    return _VERDICT_EXITS.get(answer.outcome, EXIT_VIOLATION)
 
 
 def _cmd_host(args) -> int:
@@ -153,7 +149,7 @@ def _cmd_host(args) -> int:
     result = hostprog.host_run(path.read_text(), base_dir=path.parent)
     sys.stdout.write(result.call_log())
     print(f"verdict={result.verdict}")
-    return EXIT_ACCEPT if result.verdict == "accept" else EXIT_REJECT
+    return _VERDICT_EXITS.get(result.verdict, EXIT_VIOLATION)
 
 
 def _cmd_verify(args) -> int:
@@ -244,18 +240,14 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return EXIT_USAGE
-        return int(exc.code) if exc.code is not None else 0
     except KeyError as exc:
         # str() of a KeyError quotes its message; print the message itself.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
+        # Each command's own usage errors are ValueErrors, as are
         # NetworkFormatError, InvalidNetworkError, HostProgramError and
-        # NoVerdictNeuronError are all ValueErrors.
+        # NoVerdictNeuronError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .model import Network, NetworkBuilder, NeuronSpec, SynapseSpec, one_shot
+from .model import Network, NetworkBuilder, NeuronSpec, SynapseSpec, _require_int, one_shot
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,11 @@ def make_constant_firer(prefix: str = "const") -> Fragment:
 
 
 def make_clock(period: int, prefix: str = "clk") -> Fragment:
-    """Clock ticking at t = 1, 1+K, 1+2K, ... via a self-synapse of delay K."""
+    """Clock ticking at t = 1, 1+K, 1+2K, ... via a self-synapse of delay K.
+
+    K must be an int >= 1, not a bool or a float, or ValueError.
+    """
+    _require_int(period, "clock period")
     if period < 1:
         raise ValueError("clock period must be >= 1")
     builder = NetworkBuilder()
@@ -82,8 +86,11 @@ def make_number(value: int, period: int, prefix: str = "num") -> Fragment:
     """Temporal encoding of value < period: output lags the clock by value+1 steps.
 
     Fire times are 2 + value + j*period; the (clock output, number output)
-    pair encodes the number as the fixed lag.
+    pair encodes the number as the fixed lag. Both counts must be ints, not
+    bools or floats, or ValueError.
     """
+    _require_int(value, "encoded value")
+    _require_int(period, "clock period")
     if value < 0:
         raise ValueError("encoded value must be >= 0")
     if value >= period:
@@ -141,8 +148,10 @@ def attach_timer(network: Network, t_bound: int) -> Network:
 
     Adds one gadget-tagged one-shot timer neuron whose guard synapses have
     delay t_bound + 1. A missing reject neuron is created with default
-    parameters and designated.
+    parameters and designated. `t_bound` must be an int, not a bool or a
+    float, or ValueError.
     """
+    _require_int(t_bound, "t_bound")
     if t_bound < 0:
         raise ValueError("t_bound must be >= 0")
     builder = _guard_builder(network, "attach_timer")
@@ -168,8 +177,10 @@ def attach_meter(network: Network, e_bound: int) -> Network:
     Adds one gadget-tagged counter neuron fed (delay 1, weight 1) by every
     pre-existing payload neuron, with delay-1 guard synapses. Instrumentation
     neurons, including the counter itself and any timer, do not feed the
-    counter: self-counting would corrupt the budget.
+    counter: self-counting would corrupt the budget. `e_bound` must be an
+    int, not a bool or a float, or ValueError.
     """
+    _require_int(e_bound, "e_bound")
     if e_bound < 1:
         raise ValueError("e_bound must be >= 1")
     builder = _guard_builder(network, "attach_meter")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -38,13 +39,14 @@ from .engine import (
     AMBIGUOUS,
     REJECT,
     TIMEOUT,
+    Plan,
     ResourceReport,
     RunLimits,
     build_plan,
     run,
 )
 from .gadgets import attach_meter, attach_timer
-from .model import ExplicitSchedule, Network, NetworkBuilder, _rat, parse_int
+from .model import ExplicitSchedule, Network, NetworkBuilder, _rat, _require_int, parse_int
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -111,11 +113,15 @@ class ResourceBounds:
 
 @dataclass(frozen=True)
 class ResourceCaps:
-    """Concrete caps: bound functions evaluated at one input size."""
+    """Concrete caps at one input size, each exactly an int: ValueError names any other field."""
 
     time: int
     space: int
     energy: int
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _require_int(value, f"cap {name}")
 
     def exceeded(self, time: int, space: int, energy: int) -> tuple[str, ...]:
         """The resources measured above their caps, in time/space/energy order.
@@ -218,7 +224,7 @@ class CompilerEntry:
     a `CompiledStructure`, which instances with equal compile arguments
     share. `caps` is the compiler's promise of TIME, payload SPACE and
     payload ENERGY for each instance, and every measured run stops two steps
-    past its TIME (`_run_cap`). `build` is `composed_build(split, compile)`
+    past its TIME (`_run_limits`). `build` is `composed_build(split, compile)`
     and ignores its builder; it and `step_limit` are kept for outside callers.
 
     An entry named `<problem>-<variant>` that declares `from_flags` is
@@ -332,9 +338,21 @@ def compile_from_flags(
     return compiled, schedules
 
 
-def _run_cap(caps: ResourceCaps) -> int:
-    """The step cap of a measured run: two steps past the declared TIME, and at least 3."""
-    return max(caps.time, 1) + 2
+@lru_cache(maxsize=256)
+def _run_limits(time: int) -> RunLimits:
+    """The limits of a measured run: two steps past the TIME cap, and never before step 3."""
+    return RunLimits(max_steps=max(time, 1) + 2)
+
+
+def _measure(
+    runnable: Network | Plan, caps: ResourceCaps, space: int
+) -> tuple[ResourceReport, tuple[str, ...]]:
+    """Run `runnable` unvalidated under `_run_limits(caps.time)` and judge it.
+
+    Returns the report and `caps.exceeded` of its steps, `space` and payload ENERGY.
+    """
+    report = run(runnable, _run_limits(caps.time), validate=False).report
+    return report, caps.exceeded(report.time, space, report.energy_payload)
 
 
 def generate_and_decide(
@@ -346,35 +364,24 @@ def generate_and_decide(
     """Build, meter, optionally add a timer/meter guard, run, check the bounds.
 
     The generator's cost is `GeneratorCost.of` the network it built, before
-    any guard is added. `ResourceCaps.exceeded` compares the declared
-    bounds with the payload network's measurements: executed steps, payload
-    neuron count and payload energy (spikes excluding instrumentation).
-    Violations are reported, never fatal; the timer, when requested, turns
-    a time overrun into an actual reject verdict. The run stops at
-    `_run_cap`, the one run cap that the sweep uses too.
+    any guard is added. `_measure`, which the sweep uses too, runs the guarded
+    network and judges executed steps, the payload neuron count from before
+    the guards and payload energy (spikes excluding instrumentation) against
+    the bounds at the instance's size. Violations are reported, never fatal;
+    the timer, when requested, turns a time overrun into a reject verdict.
     """
     entry = get_compiler(compiler)
     n = entry.size_of(instance)
     caps = bounds.caps(n)
     network = entry.build(instance, NetworkBuilder())
     cost = GeneratorCost.of(network)
-    payload_neurons = cost.peak_neurons
     if instrument.timer:
         network = attach_timer(network, max(caps.time - 1, 0))
     if instrument.meter:
         network = attach_meter(network, max(caps.energy, 1))
-    report = run(
-        network,
-        RunLimits(max_steps=_run_cap(caps)),
-        validate=False,
-    ).report
+    report, violations = _measure(network, caps, cost.peak_neurons)
     return Decision(
-        verdict=report.verdict,
-        cost=cost,
-        report=report,
-        size=n,
-        caps=caps,
-        violations=caps.exceeded(report.time, payload_neurons, report.energy_payload),
+        verdict=report.verdict, cost=cost, report=report, size=n, caps=caps, violations=violations
     )
 
 
@@ -425,8 +432,7 @@ class Domain:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if type(value) is not int:
-                raise ValueError(f"domain field {name} must be an integer, not {value!r}")
+            _require_int(value, f"domain field {name}")
         if self.max_len < 0 or self.random_max_len < 0:
             raise ValueError("array lengths must be >= 0")
         if self.max_val < 1 or self.random_max_val < 1:
@@ -454,14 +460,13 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     """Exhaustively sweep the small domain (plus seeded random samples).
 
     Every instance runs and is compared against the compiler's brute-force
-    reference, and its TIME, payload SPACE and payload ENERGY against the
-    entry's `caps` through `ResourceCaps.exceeded`: an instance over any cap
-    is a bound violation. Each run stops at `_run_cap`, as in
-    `generate_and_decide`, and instances with equal run caps share one
-    `RunLimits`. The entry needs `enumerate_domain`. Consecutive instances
-    with equal compile arguments share one compiled structure and plan; each
-    runs as that plan with its own port schedules. `inequality_violations` is
-    always empty: every `ResourceReport` already keeps ENERGY <= TIME * SPACE.
+    reference. `_measure` runs it and judges its TIME, payload SPACE and
+    payload ENERGY against the entry's `caps`, as in `generate_and_decide`:
+    an instance over any cap is a bound violation. The entry needs
+    `enumerate_domain`. Consecutive instances with equal compile arguments
+    share one compiled structure and plan; each runs as that plan with its
+    own port schedules. `inequality_violations` is always empty: every
+    `ResourceReport` already keeps ENERGY <= TIME * SPACE.
     """
     entry = get_compiler(compiler)
     if entry.enumerate_domain is None:
@@ -477,7 +482,6 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
     mismatches = []
     bound_violations = []
     structure = None  # (compile arguments, compiled, plan) of the previous instance
-    limits: dict[int, RunLimits] = {}  # run cap -> its RunLimits
     for instance in instances:
         checked += 1
         args, schedules = entry.split(instance)
@@ -485,19 +489,12 @@ def verify_equivalence(compiler: str, domain: Domain, seed: int = 0) -> Mismatch
             compiled = entry.compile(*args)
             structure = (args, compiled, build_plan(compiled.network))
         structure[1].check_ports(schedules)
-        caps = entry.caps(instance)
-        max_steps = _run_cap(caps)
-        run_limits = limits.get(max_steps)
-        # A bool or float equal to a cached int must still fail RunLimits' check.
-        if run_limits is None or type(max_steps) is not int:
-            run_limits = limits[max_steps] = RunLimits(max_steps=max_steps)
-        report = run(
-            structure[2].with_schedules(schedules), run_limits, validate=False
-        ).report
+        plan = structure[2].with_schedules(schedules)
+        report, over = _measure(plan, entry.caps(instance), plan.n)
         expected = entry.reference(instance)
         if report.verdict != (ACCEPT if expected else REJECT):
             mismatches.append(Mismatch(instance, report.verdict, expected))
-        if caps.exceeded(report.time, report.neurons, report.energy_payload):
+        if over:
             bound_violations.append(instance)
     return MismatchReport(checked, tuple(mismatches), tuple(bound_violations), ())
 

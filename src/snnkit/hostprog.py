@@ -43,6 +43,8 @@ from .model import parse_int
 from .snnfmt import parse_port_bindings
 
 _OUTCOME_TOKENS = {"accepted": ACCEPTED, "rejected": REJECTED, "violated": PROMISE_VIOLATED}
+# Instructions one program may execute before it is cut off as a runaway loop.
+MAX_OPS = 100_000
 
 
 class HostProgramError(ValueError):
@@ -207,11 +209,7 @@ def parse_program(text: str):
     return instructions, labels
 
 
-def host_run(
-    text: str,
-    base_dir: str | Path = ".",
-    max_ops: int = 100_000,
-) -> HostResult:
+def host_run(text: str, base_dir: str | Path = ".") -> HostResult:
     """Execute a host program; return the final verdict and the call log."""
     instructions, labels = parse_program(text)
     base = Path(base_dir)
@@ -219,7 +217,7 @@ def host_run(
     bits: dict[str, str] = {}
     calls: list[OracleCall] = []
     pc = 0
-    for _ in range(max_ops):
+    for _ in range(MAX_OPS):
         if pc >= len(instructions):
             raise HostProgramError("program ended without accept or reject")
         instr = instructions[pc]
@@ -258,4 +256,4 @@ def host_run(
                 raise HostProgramError(f"line {instr.lineno}: unknown bit {instr.bit!r}")
             if bits[instr.bit] == instr.outcome:
                 pc = labels[instr.label]
-    raise HostProgramError(f"program exceeded {max_ops} instruction executions")
+    raise HostProgramError(f"program exceeded {MAX_OPS} instruction executions")

@@ -64,6 +64,12 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _require_int(value: object, name: str) -> None:
+    """Raise ValueError naming `name` unless `value` is exactly an int, not a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _rat(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -3,16 +3,20 @@
 The library's construction API takes ids of any type: the builder's
 methods, `Network(...)` itself, and the compositions in `gadgets`. Ids are
 drawn from text, ints, None, lists and tuples, so many are invalid and some
-cannot be hashed. Parameters are drawn exact, since a float parameter is a
-documented TypeError. Every call must return a result or raise a
-ValueError subclass, and `validate_network` must list what it refuses
-rather than raise.
+cannot be hashed. Rational parameters are drawn exact, since a float
+rational is a documented TypeError. Counts (a guard's bound, a clock's
+period, an encoded value, a resource cap) are drawn from ints, bools,
+floats, text and None, since a count that is not exactly an int is a
+ValueError. Every call must return a result or raise a ValueError
+subclass, and `validate_network` must list what it refuses rather than
+raise.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnkit.gadgets import attach_meter, attach_timer, merge
+from snnkit.gadgets import attach_meter, attach_timer, make_clock, make_number, merge
+from snnkit.harness import ResourceCaps
 from snnkit.model import (
     ExplicitSchedule,
     Network,
@@ -20,6 +24,7 @@ from snnkit.model import (
     NeuronSpec,
     PeriodicSchedule,
     SynapseSpec,
+    one_shot,
     validate_network,
 )
 from snnkit.snnfmt import serialize_network
@@ -112,3 +117,36 @@ def test_compositions_return_or_raise_value_error(parts, cross_synapses, accept,
         except ValueError:
             pass
 
+
+
+COUNTS = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.floats(-1, 4), st.text(max_size=2), st.none()
+)
+GUARDABLE = Network(
+    neurons=(NeuronSpec("a"), NeuronSpec("r")),
+    programmed={"p": one_shot(0)},
+    synapses=(SynapseSpec("p", "a"),),
+    accept="a",
+    reject="r",
+)
+
+
+@FUZZ
+@given(COUNTS, COUNTS, COUNTS, COUNTS, st.tuples(COUNTS, COUNTS, COUNTS))
+def test_counts_return_valid_results_or_raise_value_error(t_bound, e_bound, period, value, caps):
+    for make in (
+        lambda: attach_timer(GUARDABLE, t_bound),
+        lambda: attach_meter(GUARDABLE, e_bound),
+        lambda: make_clock(period).network,
+        lambda: make_number(value, period).network,
+    ):
+        try:
+            network = make()
+        except ValueError:
+            continue
+        assert validate_network(network) == []
+    try:
+        made = ResourceCaps(*caps)
+    except ValueError:
+        return
+    assert all(type(field) is int for field in (made.time, made.space, made.energy))

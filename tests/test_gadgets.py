@@ -403,6 +403,25 @@ def test_guards_keep_an_unhashable_synapse_end_for_validation(guard):
     assert "synapse n->['b']: unknown post neuron ['b']" in validate_network(guard(network, 3))
 
 
+# Each count parameter, by the call that takes it and the name its refusal gives.
+COUNT_PARAMETERS = [
+    pytest.param(lambda count: attach_timer(_accept_only_network(), count), "t_bound", id="timer"),
+    pytest.param(lambda count: attach_meter(_accept_only_network(), count), "e_bound", id="meter"),
+    pytest.param(lambda count: make_clock(count), "clock period", id="clock"),
+    pytest.param(lambda count: make_number(count, 3), "encoded value", id="number-value"),
+    pytest.param(lambda count: make_number(1, count), "clock period", id="number-period"),
+]
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("call, name", COUNT_PARAMETERS)
+def test_counts_must_be_ints(call, name, count):
+    # A float would become a fractional delay or budget, a bool a count of 1.
+    with pytest.raises(ValueError) as excinfo:
+        call(count)
+    assert str(excinfo.value) == f"{name} must be an integer, not {count!r}"
+
+
 def test_fresh_id():
     assert fresh_id("timer", {"a"}) == "timer"
     assert fresh_id("timer", {"timer"}) == "timer_2"

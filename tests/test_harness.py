@@ -128,6 +128,14 @@ class TestResourceBound:
     def test_exceeded_names_the_resources_over_their_caps(self, measured, over):
         assert ResourceCaps(time=5, space=4, energy=3).exceeded(*measured) == over
 
+    @pytest.mark.parametrize("value", [True, 0.5, 5.0, "3", None])
+    @pytest.mark.parametrize("field", ["time", "space", "energy"])
+    def test_caps_refuse_a_field_that_is_not_an_int(self, field, value):
+        # A bool or float TIME cap used to become a 3-step run, a str a stray TypeError.
+        with pytest.raises(ValueError) as error:
+            replace(ResourceCaps(time=5, space=4, energy=3), **{field: value})
+        assert str(error.value) == f"cap {field} must be an integer, not {value!r}"
+
     def test_caps_floor(self):
         bounds = ResourceBounds(
             time=ResourceBound.linear(Fraction(1, 2), 1, "time"),
@@ -564,16 +572,19 @@ class TestVerifyEquivalence:
         assert 0 < len(short.mismatches) < short.checked
         assert {m.network_verdict for m in short.mismatches} == {"timeout"}
 
-    def test_step_limit_of_the_wrong_type_fails_after_an_equal_int(self):
+    @pytest.mark.parametrize("wrong", [float, bool])
+    def test_step_limit_of_the_wrong_type_fails_after_an_equal_int(self, wrong):
+        # TIME cap 1, then one equal to it but of another type, which no
+        # run may share limits with: the caps are refused when built.
         entry = get_compiler("array-search-b")
 
         def caps(instance):
-            declared = entry.caps(instance)
-            return replace(declared, time=float(declared.time)) if instance.target == 1 else declared
+            return replace(entry.caps(instance), time=1 if instance.target == 0 else wrong(1))
 
-        register_compiler(replace(entry, name="float-cap", caps=caps, from_flags=None))
-        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
-            verify_equivalence("float-cap", Domain(max_len=0, max_val=2))
+        register_compiler(replace(entry, name="wrong-cap", caps=caps, from_flags=None))
+        with pytest.raises(ValueError) as error:
+            verify_equivalence("wrong-cap", Domain(max_len=0, max_val=2))
+        assert str(error.value) == f"cap time must be an integer, not {wrong(1)!r}"
 
     def test_corrupted_split_compiler_is_caught_through_reuse(self):
         # The same mutation in a compiler whose structures the sweep reuses:
@@ -631,6 +642,41 @@ class TestVerifyEquivalence:
         assert report.mismatches == ()
         assert len(report.bound_violations) > 0
         assert report == _per_instance_report("tight", domain, seed=0)
+
+    @pytest.mark.parametrize("resource", [None, "time", "space", "energy"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sweep_and_decide_judge_every_instance_alike(self, variant, resource):
+        # The declared caps, or the caps with one resource one lower, both as
+        # an entry's `caps` for the sweep and as bounds for an unguarded
+        # decide: the two report exactly the same instances over them.
+        entry = get_compiler(f"array-search-{variant}")
+
+        def caps(instance):
+            declared = entry.caps(instance)
+            return declared if resource is None else replace(
+                declared, **{resource: getattr(declared, resource) - 1}
+            )
+
+        register_compiler(replace(entry, name="tight", caps=caps, from_flags=None))
+        at_zero = caps(ArrayInstance((), 0, 4))  # TIME is flat in n, SPACE and ENERGY slope 1
+        bounds = ResourceBounds(
+            time=ResourceBound.constant(at_zero.time, "time"),
+            space=ResourceBound.linear(1, at_zero.space, "space"),
+            energy=ResourceBound.linear(1, at_zero.energy, "energy"),
+        )
+        domain = Domain(max_len=2, max_val=4)
+        instances = list(entry.enumerate_domain(domain))
+        decisions = [generate_and_decide(entry.name, instance, bounds) for instance in instances]
+        assert [decision.caps for decision in decisions] == [caps(i) for i in instances]
+        assert [decision.verdict == "accept" for decision in decisions] == [
+            contains_target(instance) for instance in instances
+        ]
+        swept = verify_equivalence("tight", domain)
+        assert swept.mismatches == ()
+        assert swept.bound_violations == tuple(
+            instance for instance, decision in zip(instances, decisions) if decision.violations
+        )
+        assert bool(swept.bound_violations) == (resource is not None)
 
     def test_registry_lists_array_search(self):
         names = registered_compilers()

@@ -1,5 +1,6 @@
 import pytest
 
+from snnkit import hostprog
 from snnkit.cli import main
 from snnkit.hostprog import HostProgramError, build_compiled_network, host_run, parse_program
 from snnkit.snnfmt import serialize_port_bindings
@@ -137,15 +138,15 @@ class TestErrors:
         with pytest.raises(HostProgramError, match="duplicate label"):
             host_run("label x\nlabel x\naccept\n")
 
-    def test_infinite_loop_cut_off(self):
-        with pytest.raises(HostProgramError, match="exceeded"):
+    def test_infinite_loop_cut_off(self, monkeypatch):
+        monkeypatch.setattr(hostprog, "MAX_OPS", 50)
+        with pytest.raises(HostProgramError, match="exceeded 50 instruction executions"):
             host_run(
                 "let n = compile array-search --variant a --array 1 --target 1 --bound 2\n"
                 "label top\n"
                 "let b = oracle n time=8 space=8 energy=8\n"
                 "if b goto top\n"
                 "accept\n",
-                max_ops=50,
             )
 
     def test_unknown_bit(self):

@@ -8,7 +8,8 @@ build their networks through `NetworkBuilder`, and the rules for a
 well-formed neuron, schedule and synapse delay, and for rebinding a
 schedule, are written once, in `model`. The port rule of a compiled
 structure is written once, in `harness`, and the host language binds only
-through it, as is the rule that caps every measured run by the declared caps. Generator cost is read off the generated network, so no module
+through it, as is the rule that runs every measured run and judges it by
+the declared caps. Generator cost is read off the generated network, so no module
 needs a builder of its own. The `.snn` parser keeps its caches on the
 parser object, so none outlives one parse.
 These checks read the sources as text and import nothing.
@@ -125,6 +126,19 @@ def test_harness_caps_runs_by_the_declared_caps_only():
         if isinstance(node, ast.Attribute) and node.attr == "step_limit"
     ]
     assert reads == []
+
+
+def test_harness_runs_and_judges_measured_runs_in_one_place():
+    # The sweep and the metered decide run through `_measure`, capped by
+    # `_run_limits`; the oracle keeps its own promise rule.
+    tree = _trees()["harness"]
+    assert _innermost_callers(tree, {"run"}) == {"_measure", "network_halting_oracle"}
+    assert _innermost_callers(tree, {"RunLimits"}) == {"_run_limits", "network_halting_oracle"}
+
+
+def test_cli_exits_through_entry_only():
+    # Usage errors are ValueErrors that `main` reports; only `entry` exits.
+    assert _innermost_callers(_trees()["cli"], {"SystemExit"}) == {"entry"}
 
 
 def test_port_rule_lives_in_harness_only():

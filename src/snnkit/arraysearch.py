@@ -122,6 +122,8 @@ CompiledSearch = CompiledStructure
 
 # Exact constants, so building a network coerces no parameter.
 _ZERO, _INHIBIT = Fraction(0), Fraction(-1)
+# `one_shot(value)`, one shared object per value: a schedule is frozen.
+_spike_at = lru_cache(maxsize=256)(one_shot)
 
 
 @lru_cache(maxsize=64)
@@ -159,16 +161,16 @@ def _build_search(
 
 def compile_search_embedded(instance: ArrayInstance) -> CompiledSearch:
     """Variant a: the whole instance is encoded in the network, which has no open port."""
-    elements = [one_shot(value) for value in instance.elements]
+    elements = [_spike_at(value) for value in instance.elements]
     deadline = instance.bound + 2 - instance.target
-    return CompiledSearch(_build_search(elements, one_shot(instance.target), deadline), ())
+    return CompiledSearch(_build_search(elements, _spike_at(instance.target), deadline), ())
 
 
 def compile_search_value_input(elements: Iterable[int], bound: int) -> CompiledSearch:
     """Variant b: elements embedded, the value arrives on an open port."""
     elements = tuple(elements)
     _check_values(bound, elements=elements)
-    schedules = [one_shot(value) for value in elements]
+    schedules = [_spike_at(value) for value in elements]
     network = _build_search(schedules, ExplicitSchedule(), bound + 1)
     return CompiledSearch(network, (VALUE_PORT,))
 
@@ -244,7 +246,7 @@ def _array_search_entry(variant: str) -> CompilerEntry:
         compiler = "compile_search_value_input"
 
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            return (instance.elements, instance.bound), {VALUE_PORT: one_shot(instance.target)}
+            return (instance.elements, instance.bound), {VALUE_PORT: _spike_at(instance.target)}
 
         def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:
             return (array, bound)
@@ -252,8 +254,8 @@ def _array_search_entry(variant: str) -> CompilerEntry:
         compiler = "compile_search_full_input"
 
         def split(instance: ArrayInstance) -> tuple[tuple, Mapping[str, object]]:
-            schedules = {element_port(j): one_shot(v) for j, v in enumerate(instance.elements)}
-            schedules[VALUE_PORT] = one_shot(instance.target)
+            schedules = {element_port(j): _spike_at(v) for j, v in enumerate(instance.elements)}
+            schedules[VALUE_PORT] = _spike_at(instance.target)
             return (instance.size, instance.bound), schedules
 
         def unbound(array: tuple[int, ...], size: int | None, bound: int) -> tuple:

@@ -273,8 +273,9 @@ def build_plan(network: Network) -> Plan:
 class Simulation:
     """Step-level driver around the kernel; exposes exact state for inspection.
 
-    Takes a Network, or a Plan of one, and validates the network it will
-    step unless `validate` is False; `run` validates only through here.
+    Takes a Network, or a Plan of one, and checks the network it will step
+    with `check_network` unless `validate` is False, which validates only a
+    network with no record of a passed check. `run` validates only here.
     Verdict-neuron designation is only required for `run` (which seeks a
     decision); fragments and other non-deciding networks can be stepped
     freely through this class. A simulation is strictly sequential, but

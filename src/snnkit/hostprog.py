@@ -1,7 +1,8 @@
 """Minimal host language driving the network-halting oracle.
 
 Models a classical controller that builds networks, queries the oracle
-about them, and branches on the answers. Line-oriented grammar:
+about them, and branches on the answers. Line-oriented grammar, where as
+in `.snn` text only ``\n`` ends a line and ``#`` starts a comment:
 
     let <name> = compile <compiler> <args...>
     let <bit> = oracle <name> [inputs=<file>] time=<n> space=<n> energy=<n>
@@ -40,7 +41,7 @@ from .harness import (
     network_halting_oracle,
 )
 from .model import parse_int
-from .snnfmt import parse_port_bindings
+from .snnfmt import numbered_lines, parse_port_bindings
 
 _OUTCOME_TOKENS = {"accepted": ACCEPTED, "rejected": REJECTED, "violated": PROMISE_VIOLATED}
 # Instructions one program may execute before it is cut off as a runaway loop.
@@ -131,7 +132,7 @@ def parse_program(text: str):
     """Parse program text into instructions and a label table."""
     instructions = []
     labels: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

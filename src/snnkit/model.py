@@ -99,6 +99,20 @@ class NeuronSpec:
             object.__setattr__(self, "leak", _rat(self.leak))
 
 
+_set_neuron_fields = tuple(getattr(NeuronSpec, key).__set__ for key in NeuronSpec.__slots__)
+
+
+def _exact_neuron(name: str, threshold: Fraction, reset: Fraction, leak: Fraction) -> NeuronSpec:
+    """A NeuronSpec of parameters already known to be Fractions, without the coercion."""
+    spec = object.__new__(NeuronSpec)
+    set_id, set_threshold, set_reset, set_leak = _set_neuron_fields
+    set_id(spec, name)
+    set_threshold(spec, threshold)
+    set_reset(spec, reset)
+    set_leak(spec, leak)
+    return spec
+
+
 # A NamedTuple class may not define `__new__`, so the coercing constructor
 # lives in the subclass below.
 class _SynapseFields(NamedTuple):
@@ -193,6 +207,11 @@ class Network:
     (pre, post, delay, weight)) so that structurally equal networks compare
     equal and serialize identically. `gadget_tags` marks instrumentation
     neurons whose spikes are excluded from payload energy accounting.
+
+    A network records that it passed `check_network`, which then returns it
+    unchecked: that relies on no network, nor its `programmed` mapping, ever
+    changing in place. `bind_schedules` keeps the record, as `checked_bindings`
+    checks each new schedule; `dataclasses.replace` and `Network(...)` start without.
     """
 
     neurons: tuple[NeuronSpec, ...] = ()
@@ -201,6 +220,7 @@ class Network:
     accept: str | None = None
     reject: str | None = None
     gadget_tags: frozenset[str] = frozenset()
+    _checked = False  # not a field; set on an instance by `model` only
 
     def __post_init__(self):
         neurons, names, synapses = list(self.neurons), list(self.programmed), list(self.synapses)
@@ -384,10 +404,18 @@ def validate_network(network: Network) -> list[str]:
 
 
 def check_network(network: Network) -> Network:
-    """Raise InvalidNetworkError unless the network is well-formed."""
-    violations = validate_network(network)
-    if violations:
-        raise InvalidNetworkError(violations)
+    """Raise InvalidNetworkError unless the network is well-formed; record a pass, not a refusal."""
+    if not network._checked:
+        violations = validate_network(network)
+        if violations:
+            raise InvalidNetworkError(violations)
+        object.__setattr__(network, "_checked", True)
+    return network
+
+
+def _checked_by_parser(network: Network) -> Network:
+    """Record as checked a network the `.snn` parser built, whose line rules are this check."""
+    object.__setattr__(network, "_checked", True)
     return network
 
 

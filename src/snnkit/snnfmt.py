@@ -1,7 +1,9 @@
 """The `.snn` plain-text network description format.
 
-Line-oriented, `#` starts a comment, blank lines are ignored. The first
-significant line must be the header ``snn 1``. Remaining lines:
+Line-oriented, `#` starts a comment, blank lines are ignored. A line ends
+only at ``\n``; any other whitespace, a ``\r`` before the ``\n`` included,
+separates tokens, so CRLF text reads as LF text. The first significant
+line must be the header ``snn 1``. Remaining lines:
 
     neuron <id> [threshold=<rat>] [reset=<rat>] [leak=<rat>]
     input <id> schedule=<t1;t2;...>
@@ -20,14 +22,15 @@ shares each id and each rational text among every line that names it, and
 reads each distinct well-formed neuron and synapse attribute tail once.
 
 The line rules, which apply `model`'s rules as each line is read, are the
-one check of `.snn` text; `engine.Simulation` still validates before stepping.
+one check of `.snn` text: a parsed network is recorded as checked, so
+neither `check_network` nor `engine.Simulation` validates it again.
 The writer keeps no rule of its own: it refuses, through
 `model.check_network`, exactly the networks `validate_network` refuses.
 
 The same module handles the sidecar port-binding files consumed by
 ``sim --inputs``, ``oracle --inputs`` and the host's oracle calls: one
 ``port=<schedule>`` line per port, where <schedule> is ``t1;t2;...`` or
-``periodic:<offset>:<period>``.
+``periodic:<offset>:<period>``. Its lines, and a host program's, end as `.snn` lines do.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .model import (
     PeriodicSchedule,
     SpikeSchedule,
     SynapseSpec,
+    _checked_by_parser,
+    _exact_neuron,
     check_network,
     delay_violations,
     format_rational,
@@ -69,6 +74,14 @@ class NetworkFormatError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
+
+
+def numbered_lines(text: str):
+    """Each line of `text`, numbered from 1; only "\n" ends a line.
+
+    `str.splitlines` also ends one at \v, \f, \x1c-\x1e, U+0085, U+2028 and U+2029.
+    """
+    return enumerate(text.split("\n"), start=1)
 
 
 def _split_attrs(tokens, lineno, errors, allowed):
@@ -129,16 +142,13 @@ class _Parser:
         # What each attribute tail parsed to, kept only from lines with no error.
         self.neuron_tails: dict[tuple[str, ...], list[Fraction]] = {}
         self.synapse_tails: dict[tuple[str, ...], tuple[int, Fraction]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in numbered_lines(text):
             tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if tokens:
                 self.line(lineno, tokens)
 
     def err(self, lineno: int, message: str) -> None:
         self.errors.append(f"line {lineno}: {message}")
-
-    def ident(self, token: str) -> str:
-        return self.names.setdefault(token, token)
 
     def _parse_rat(self, value, what, lineno):
         rat = self.rationals.get(value)
@@ -178,31 +188,28 @@ class _Parser:
         if not rest:
             self.err(lineno, "neuron needs an id")
             return
-        name = self.ident(rest[0])
+        name = self.names.setdefault(rest[0], rest[0])
         if not self.declare(name, lineno):
             return
         tail = tuple(rest[1:])
         params = self.neuron_tails.get(tail)
-        if params is not None:
-            self.neurons.append(NeuronSpec(name, *params))
-            return
-        before = len(self.errors)
-        attrs = _split_attrs(tail, lineno, self.errors, ("threshold", "reset", "leak"))
-        params = []
-        for key, default in _NEURON_DEFAULTS:
-            value = self._parse_rat(attrs[key], key, lineno) if key in attrs else None
-            params.append(default if value is None else value)
-        spec = NeuronSpec(name, *params)
-        _rules_hold(neuron_violations(spec), lineno, self.errors)
-        if len(self.errors) == before:
-            self.neuron_tails[tail] = params
-        self.neurons.append(spec)
+        if params is None:
+            before = len(self.errors)
+            attrs = _split_attrs(tail, lineno, self.errors, ("threshold", "reset", "leak"))
+            params = []
+            for key, default in _NEURON_DEFAULTS:
+                value = self._parse_rat(attrs[key], key, lineno) if key in attrs else None
+                params.append(default if value is None else value)
+            _rules_hold(neuron_violations(_exact_neuron(name, *params)), lineno, self.errors)
+            if len(self.errors) == before:
+                self.neuron_tails[tail] = params
+        self.neurons.append(_exact_neuron(name, *params))
 
     def _kw_input(self, lineno, rest):
         if not rest:
             self.err(lineno, "input needs an id")
             return
-        name = self.ident(rest[0])
+        name = self.names.setdefault(rest[0], rest[0])
         if not self.declare(name, lineno):
             return
         if len(rest) >= 2 and rest[1] == "periodic":
@@ -231,7 +238,7 @@ class _Parser:
         if len(rest) < 3 or rest[1] != "->":
             self.err(lineno, "synapse syntax is: synapse <pre> -> <post> [delay=..] [weight=..]")
             return
-        pre, post = self.ident(rest[0]), self.ident(rest[2])
+        pre, post = self.names.setdefault(rest[0], rest[0]), self.names.setdefault(rest[2], rest[2])
         # An id declared by now stays declared, so only later ones need a check.
         if pre not in self.declared:
             self.pending_refs.append(("synapse pre", pre, lineno))
@@ -239,31 +246,28 @@ class _Parser:
             self.pending_refs.append(("synapse post", post, lineno))
         tail = tuple(rest[3:])
         params = self.synapse_tails.get(tail)
-        if params is not None:
-            self.synapses.append(SynapseSpec(pre, post, *params))
-            return
-        before = len(self.errors)
-        attrs = _split_attrs(tail, lineno, self.errors, ("delay", "weight"))
-        delay = DEFAULT_DELAY
-        weight = DEFAULT_WEIGHT
-        if "delay" in attrs:
-            delay = _parse_int(attrs["delay"], "delay", lineno, self.errors)
-            if delay is None or not _rules_hold(delay_violations(delay), lineno, self.errors):
-                return
-        if "weight" in attrs:
-            value = self._parse_rat(attrs["weight"], "weight", lineno)
-            if value is None:
-                return
-            weight = value
-        if len(self.errors) == before:
-            self.synapse_tails[tail] = delay, weight
-        self.synapses.append(SynapseSpec(pre, post, delay, weight))
+        if params is None:
+            before = len(self.errors)
+            attrs = _split_attrs(tail, lineno, self.errors, ("delay", "weight"))
+            delay, weight = DEFAULT_DELAY, DEFAULT_WEIGHT
+            if "delay" in attrs:
+                delay = _parse_int(attrs["delay"], "delay", lineno, self.errors)
+                if delay is None or not _rules_hold(delay_violations(delay), lineno, self.errors):
+                    return
+            if "weight" in attrs:
+                weight = self._parse_rat(attrs["weight"], "weight", lineno)
+                if weight is None:
+                    return
+            params = delay, weight
+            if len(self.errors) == before:
+                self.synapse_tails[tail] = params
+        self.synapses.append(tuple.__new__(SynapseSpec, (pre, post, *params)))  # nothing to coerce
 
     def _designate(self, role, lineno, rest):
         if len(rest) != 1:
             self.err(lineno, f"{role} takes exactly one id")
             return
-        name = self.ident(rest[0])
+        name = self.names.setdefault(rest[0], rest[0])
         self.pending_refs.append((role, name, lineno))
         if getattr(self, role) is not None:
             self.err(lineno, f"duplicate {role} directive")
@@ -283,7 +287,7 @@ class _Parser:
         if len(rest) != 1:
             self.err(lineno, "gadget takes exactly one id")
             return
-        name = self.ident(rest[0])
+        name = self.names.setdefault(rest[0], rest[0])
         self.pending_refs.append(("gadget", name, lineno))
         self.gadget_tags.add(name)
 
@@ -296,7 +300,7 @@ class _Parser:
         self.errors.sort(key=_line_number)
         if self.errors:
             raise NetworkFormatError(self.errors)
-        return Network(
+        network = Network(
             neurons=tuple(self.neurons),
             programmed=self.programmed,
             synapses=tuple(self.synapses),
@@ -304,6 +308,7 @@ class _Parser:
             reject=self.reject,
             gadget_tags=frozenset(self.gadget_tags),
         )
+        return _checked_by_parser(network)
 
 
 # Each directive's handler, looked up by keyword: no name string is built per line.
@@ -325,7 +330,8 @@ def parse_network(text: str) -> Network:
     """Parse `.snn` text into a Network that breaks no model rule.
 
     Raises NetworkFormatError carrying every violation found, each with the
-    line number it was detected on; no second validation pass follows.
+    line number it was detected on. The network is recorded as checked, so
+    no second validation pass follows, not even in `engine.Simulation`.
     """
     return _Parser(text).finish()
 
@@ -379,7 +385,7 @@ def parse_port_bindings(text: str) -> dict[str, SpikeSchedule]:
     """Parse a sidecar input file: one `port=<schedule>` line per port."""
     errors: list[str] = []
     bindings: dict[str, SpikeSchedule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

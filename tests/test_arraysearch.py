@@ -168,6 +168,17 @@ class TestSplit:
         assert args == (2, 4)
         assert schedules == {"a0": one_shot(0), "a1": one_shot(0), "val": one_shot(0)}
 
+    def test_equal_values_share_one_schedule(self):
+        # A schedule is frozen, so one object per value serves every port and instance.
+        _, b = self._split("b", ArrayInstance((1,), 3, 8))
+        _, c = self._split("c", ArrayInstance((3, 5, 3), 5, 8))
+        assert b["val"] is c["a0"] is c["a2"] and c["a1"] is c["val"]
+        assert b["val"] == one_shot(3) and c["val"] == one_shot(5)
+        embedded = compile_search_embedded(ArrayInstance((3, 5), 5, 8)).network.programmed
+        values = compile_search_value_input((3, 5), 8).network.programmed
+        assert embedded["a0"] is values["a0"] is c["a0"]
+        assert embedded["val"] is embedded["a1"] is values["a1"] is c["val"]
+
     def test_arity_mismatch_rejected_at_bind(self):
         compiled = compile_search_full_input(3, 8)
         _, schedules = self._split("c", ArrayInstance((1, 2), 1, 8))

@@ -39,6 +39,17 @@ class TestSim:
         assert code == 0
         assert "verdict=accept" in out
 
+    def test_text_inside_a_comment_stays_in_the_comment(self, capsys, monkeypatch):
+        # Only "\n" ends a line: U+2028 inside the comment does not start one.
+        text = "snn 1\nneuron a threshold=0\nneuron r # was: \u2028reject a\naccept a\n"
+        outs = []
+        for stdin in (text, text.replace("\n", "\r\n")):
+            code, out, err = run_cli(["sim", "-"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("verdict=accept time=1 ")
+
     def test_reject_exit_code(self, tmp_path, capsys):
         path = tmp_path / "net.snn"
         path.write_text("snn 1\ninput rej schedule=0\nreject rej\n")

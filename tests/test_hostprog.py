@@ -304,3 +304,12 @@ class TestBuildCompiledNetwork:
                 "array-search",
                 ("--variant", "b", "--array", "1", "--bound", "4", "--bogus", "1"),
             )
+
+
+@pytest.mark.parametrize("mark", ["\x85", "\u2028", "\x0b", "\x1e"], ids=ascii)
+def test_text_inside_a_comment_stays_in_the_comment(mark):
+    # A line ends only at "\n", as in `.snn` text; CRLF text reads as LF text.
+    text = f"accept # x{mark}reject\n"
+    assert [type(instr).__name__ for instr in parse_program(text)[0]] == ["_Halt"]
+    assert parse_program(text.replace("\n", "\r\n")) == parse_program(text)
+    assert host_run(text).verdict == "accept"

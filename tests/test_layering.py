@@ -236,3 +236,22 @@ def test_network_writer_checks_through_the_model_rule_only():
     # the rest of `snnfmt` nor the command line checks a network it writes.
     assert _innermost_callers(_trees()["snnfmt"], {"check_network"}) == {"serialize_network"}
     assert "check_network" not in _called_names(_trees()["cli"])
+
+
+def test_only_the_model_writes_the_check_record():
+    # A network's record of a passed check is set by `check_network`, and for
+    # the parser's error-free result by `_checked_by_parser`, both in `model`.
+    writers = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_checked")
+        or (isinstance(node, ast.Constant) and node.value == "_checked")
+    }
+    assert writers == {"model"}
+    callers = {
+        (module, caller)
+        for module, tree in _trees().items()
+        for caller in _innermost_callers(tree, {"_checked_by_parser"})
+    }
+    assert callers == {("snnfmt", "finish")}

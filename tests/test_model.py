@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnkit.engine import Simulation
+from snnkit import model
+from snnkit.engine import RunLimits, Simulation, run
 from snnkit.model import (
     ExplicitSchedule,
     InvalidNetworkError,
@@ -356,6 +357,67 @@ def test_check_network_raises_with_all_violations():
     assert any("threshold" in m for m in messages)
     assert any("unknown post" in m for m in messages)
     assert any("delay" in m for m in messages)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The networks `validate_network` is called on, in call order."""
+    seen = []
+    validate = model.validate_network
+
+    def counted(network):
+        seen.append(network)
+        return validate(network)
+
+    monkeypatch.setattr(model, "validate_network", counted)
+    return seen
+
+
+def test_a_directly_built_network_is_validated_once(validations):
+    net = _valid_network()
+    for _ in range(3):
+        assert check_network(net) is net
+        Simulation(net)
+        run(net, RunLimits(8))
+    assert validations == [net]
+
+
+def test_a_refused_network_is_refused_on_every_call(validations):
+    bad = Network(neurons=(NeuronSpec("a"),), accept="nope")
+    for _ in range(2):
+        with pytest.raises(InvalidNetworkError, match="accept names unknown neuron 'nope'"):
+            check_network(bad)
+        with pytest.raises(InvalidNetworkError):
+            Simulation(bad)
+    assert validations == [bad] * 4
+
+
+def test_a_replaced_network_is_checked_again(validations):
+    checked = check_network(_valid_network())
+    changed = replace(checked, accept="nope")
+    with pytest.raises(InvalidNetworkError, match="accept names unknown neuron 'nope'"):
+        check_network(changed)
+    assert validations == [checked, changed]
+
+
+def test_a_rebound_network_keeps_its_record(validations):
+    checked = check_network(_valid_network())
+    rebound = checked.bind_schedules({"p": [1, 3]})
+    assert check_network(rebound) is rebound
+    run(rebound, RunLimits(8))
+    assert validations == [checked]
+    with pytest.raises(InvalidNetworkError, match="input p: schedule times must be strictly"):
+        checked.bind_schedules({"p": [3, 1]})
+
+
+def test_builder_networks_are_checked_as_they_are_built(validations):
+    builder = NetworkBuilder()
+    builder.add_neuron("a")
+    builder.set_accept("a")
+    net = builder.build()
+    check_network(net)
+    run(net, RunLimits(8))
+    assert validations == [net]
 
 
 def test_builder_duplicate_rejected():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnkit import hostprog, snnfmt
+from snnkit.model import validate_network
 
 VALUES = st.sampled_from(
     ["", "0", "1", "-1", "3/4", "1/0", "2/-3", "0x10", "1e3", "1_0", "٣", "x", "1;2", "2;1", ";",
@@ -100,3 +101,14 @@ def test_parse_port_bindings_raises_only_format_errors(text):
 @given(st.text(max_size=200) | HOST_TEXT)
 def test_parse_program_raises_only_host_errors(text):
     _parses_or_raises(hostprog.parse_program, hostprog.HostProgramError, text)
+
+
+@FUZZ
+@given(st.text(max_size=200) | SNN_TEXT)
+def test_every_parsed_network_passes_the_model_check(text):
+    # The parser records what it returns as checked; this is that record's premise.
+    try:
+        network = snnfmt.parse_network(text)
+    except snnfmt.NetworkFormatError:
+        return
+    assert validate_network(network) == []

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnkit.engine import build_plan
+from snnkit import model
+from snnkit.engine import RunLimits, Simulation, build_plan, run
 from snnkit.randnet import random_network, sparse_benchmark_network
 from snnkit.model import (
     ExplicitSchedule,
@@ -19,6 +20,8 @@ from snnkit.model import (
     NeuronSpec,
     PeriodicSchedule,
     SynapseSpec,
+    check_network,
+    one_shot,
     validate_network,
 )
 from snnkit.snnfmt import (
@@ -893,3 +896,63 @@ def test_parse_outcomes_match_a_parser_without_tail_reuse():
         digest.update(outcome.encode() + b"\0")
     assert parsed == 633
     assert digest.hexdigest() == "328041f85da1a2eac40da61f4aa717528d9225c3ad4651d5f918b6c715e2b787"
+
+
+def test_a_parsed_network_is_never_validated_again(monkeypatch):
+    # The parser's line rules are the one check of `.snn` text.
+    calls = []
+    monkeypatch.setattr(model, "validate_network", lambda network: calls.append(network) or [])
+    net = parse_network(EXAMPLE)
+    assert check_network(net) is net
+    Simulation(net)
+    run(net, RunLimits(16))
+    assert serialize_network(net) == serialize_network(parse_network(serialize_network(net)))
+    assert calls == []
+
+
+# A line ends only at "\n". `str.splitlines` also ends one at each of these,
+# which let text inside a comment, or between two tokens, start a line.
+LINE_BREAKS_OF_SPLITLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("mark", LINE_BREAKS_OF_SPLITLINES, ids=ascii)
+def test_text_inside_a_comment_stays_in_the_comment(mark):
+    net = parse_network(f"snn 1\nneuron a threshold=0\nneuron r # was: {mark}reject a\naccept a\n")
+    assert net.reject is None
+    assert run(net, RunLimits(4)).report.verdict == "accept"
+
+
+def test_line_numbers_count_newlines_only():
+    net = parse_network("snn 1\nneuron a\x0cthreshold=2\naccept a\n")
+    assert net.neuron("a").threshold == 2 and net.accept == "a"
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network("snn 1\nneuron a\x0cthreshold=2\naccept b\n")
+    assert excinfo.value.errors == ["line 3: accept names unknown id 'b'"]
+
+
+@pytest.mark.parametrize("mark", LINE_BREAKS_OF_SPLITLINES, ids=ascii)
+def test_sidecar_text_inside_a_comment_binds_nothing(mark):
+    assert parse_port_bindings(f"a=1 # c{mark}b=2\n") == {"a": one_shot(1)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        EXAMPLE.replace("network\n", "network \u2029neuron zz\n", 1),
+        "snn 1\nneuron a threshold=0\nneuron r # was: \u2028reject a\naccept a\n",
+        "snn 1\nneuron a\x0cthreshold=2\naccept a\n",
+    ],
+    ids=["example", "comment", "form-feed"],
+)
+def test_crlf_text_parses_as_lf_text(text):
+    crlf = text.replace("\n", "\r\n")
+    assert parse_network(crlf) == parse_network(text)
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network(crlf + "accept zz\r\n")
+    assert f"line {text.count(chr(10)) + 1}: duplicate accept directive" in excinfo.value.errors
+
+
+def test_crlf_sidecar_text_reads_as_lf_text():
+    text = "a=1 # c\u2028b=2\nb=3;4\n"
+    want = {"a": one_shot(1), "b": ExplicitSchedule((3, 4))}
+    assert parse_port_bindings(text.replace("\n", "\r\n")) == parse_port_bindings(text) == want
